@@ -340,7 +340,15 @@ def read_distribution(path, fmt: str | None = None) -> DiscreteDistribution:
                 raise OutOfRangeError(
                     f"expected CSV header {','.join(_CSV_HEADER)!r}, got {header!r}"
                 )
-            pairs = [(int(row[0]), float(row[1])) for row in reader if row]
+            try:
+                # unpacking rejects rows of other than two fields
+                pairs = [
+                    (int(label), float(prob)) for label, prob in filter(None, reader)
+                ]
+            except ValueError as exc:
+                raise OutOfRangeError(
+                    f"CSV line {reader.line_num}: expected label,prob ({exc})"
+                ) from None
         return DiscreteDistribution.from_pairs(pairs)
     if fmt == "json":
         with open(path, "r", encoding="utf-8") as fh:
@@ -348,9 +356,17 @@ def read_distribution(path, fmt: str | None = None) -> DiscreteDistribution:
         if not isinstance(rows, list):
             raise OutOfRangeError("distribution JSON must be an array of objects")
         return DiscreteDistribution.from_pairs(
-            (row["label"], row["prob"]) for row in rows
+            _json_pair(row, i) for i, row in enumerate(rows)
         )
     raise OutOfRangeError(f"unknown distribution file format {fmt!r}")
+
+
+def _json_pair(row, index: int) -> tuple:
+    if not isinstance(row, dict) or "label" not in row or "prob" not in row:
+        raise OutOfRangeError(
+            f"JSON row {index}: expected an object with label and prob, got {row!r:.60}"
+        )
+    return row["label"], row["prob"]
 
 
 def _infer_format(path) -> str:

@@ -8,6 +8,15 @@ the pivot.  That average is an unbiased estimate of the number of elements
 at or above the pivot, and the returned value is the average times a small
 calibration factor.
 
+Each stage is one oracle call: :meth:`DualOracle.order_statistic` draws the
+r stage-one samples and selects the quantile by rank in O(r), giving the
+same pivot a sort of the draws would; :meth:`DualOracle.inverse_prob_sum`
+returns the stage-two sum with the exact law of t draws in
+O(n - rank + runs) time, independent of t.  Both charge the full r (resp.
+t) SAMP and EVAL queries.  :func:`empirical_quantile` and
+:func:`inverse_prob_terms` are the draw-level definitions of the two
+statistics and serve as references.
+
 Everything the estimator learns about the distribution comes through the
 oracle handle, and probabilities are only ever taken for elements that
 were actually sampled, so the procedure runs unchanged whether probability
@@ -31,12 +40,6 @@ SLACK_CAP = 0.2
 
 PIVOT_SAMPLE_CONSTANT = 180.0
 MEAN_SAMPLE_CONSTANT = 500.0
-
-# Stage-two draws are consumed in fixed-size chunks.  The chunk size never
-# changes what is drawn (one uniform per draw) but it does fix the float
-# summation order, so it must stay constant for bit-reproducibility.
-# 64Ki keeps the whole pipeline's working set inside the CPU caches.
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -152,9 +155,8 @@ def select_pivot(oracle: DualOracle, params: EstimatorParams) -> tuple[int, floa
             "degenerate parameters: any single element is already a valid answer"
         )
     r_size, _ = sample_sizes(params)
-    labels, probs = oracle.sample_with_prob_many(r_size)
     theta = (1.0 + params.beta_eff / 2.0) * params.eps
-    return empirical_quantile(labels, probs, theta)
+    return oracle.order_statistic(r_size, _strict_rank_index(theta * r_size, r_size))
 
 
 def inverse_prob_terms(labels, probs, pivot: tuple[int, float]) -> np.ndarray:
@@ -201,15 +203,7 @@ def estimate_ess(oracle: DualOracle, params: EstimatorParams) -> EstimateResult:
     samp_before, eval_before = oracle.query_counts()
     r_size, t_size = sample_sizes(params)
     pivot = select_pivot(oracle, params)
-
-    chunk_sums = []
-    remaining = t_size
-    while remaining > 0:
-        batch = min(_CHUNK, remaining)
-        labels, probs = oracle.sample_with_prob_many(batch)
-        chunk_sums.append(float(inverse_prob_terms(labels, probs, pivot).sum()))
-        remaining -= batch
-    raw_mean = math.fsum(chunk_sums) / t_size
+    raw_mean = oracle.inverse_prob_sum(t_size, pivot) / t_size
 
     samp_after, eval_after = oracle.query_counts()
     return EstimateResult(

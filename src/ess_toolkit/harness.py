@@ -76,6 +76,10 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise OutOfRangeError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.master_seed < 2**64:
+            raise OutOfRangeError(
+                f"master_seed must lie in [0, 2**64), got {self.master_seed}"
+            )
         if not 0.0 < self.eps < 1.0:
             raise OutOfRangeError(f"eps must lie in (0, 1), got {self.eps!r}")
         if not self.beta > 0.0:

@@ -9,10 +9,27 @@ draws are plain numpy pipelines.
 Each draw consumes exactly one uniform double from the generator; the
 sample stream is therefore a function of (seed, number of draws) alone,
 and chunked batching cannot change what is drawn.
+
+On top of the draws the oracle offers the two statistics the estimator
+needs, each charged as the full batch of probability-revealing queries it
+stands for:
+
+* :meth:`DualOracle.order_statistic` (stage one) draws r samples from the
+  stream, maps each to its canonical rank and selects the k-th smallest in
+  O(r) time and r*4 bytes.  It returns exactly the element that sorting
+  the same draws by (probability, label) would select, for every seed.
+* :meth:`DualOracle.inverse_prob_sum` (stage two) returns sum(1/p) over t
+  draws that rank at or above a pivot without making the draws: it groups
+  the elements at or above the pivot into runs of equal probability and
+  draws one multinomial count vector over those runs plus one cell for the
+  rest (Devroye, *Non-Uniform Random Variate Generation*, 1986).  That is
+  the law of t draws exactly; the cost is O(n - rank) for the suffix plus
+  one binomial per run, independent of t.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 
@@ -23,6 +40,11 @@ from .errors import OutOfRangeError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Stage-one draws are made in fixed-size chunks; 64Ki keeps each chunk's
+# working set inside the CPU caches.  The chunk size never changes what is
+# drawn (one uniform per draw).
+_CHUNK = 1 << 16
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -45,11 +67,18 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 class AliasTable:
-    """Alias structure over the positive-probability elements of a pmf."""
+    """Alias structure over the positive-probability elements of a pmf.
 
-    __slots__ = ("size", "accept", "alias", "element_indices")
+    ``order`` is the canonical order of the pmf's elements; the table keeps
+    its inverse, ``rank`` (the canonical rank of each element), so drawn
+    elements map to ranks with one gather.  ``total`` is the exact mass the
+    table normalizes by: an element is drawn with probability
+    ``probs[i] / total``.
+    """
 
-    def __init__(self, probs: np.ndarray) -> None:
+    __slots__ = ("size", "total", "accept", "alias", "element_indices", "rank")
+
+    def __init__(self, probs: np.ndarray, order: np.ndarray) -> None:
         positive = np.flatnonzero(probs > 0.0)
         if positive.size == 0:
             raise OutOfRangeError("cannot sample: no positive-probability element")
@@ -57,7 +86,8 @@ class AliasTable:
         size = int(positive.size)
         # normalize exactly so the table encodes a true distribution even
         # when the stored mass is off by the validator tolerance
-        scaled = (pos_probs * (size / math.fsum(pos_probs.tolist()))).tolist()
+        total = math.fsum(pos_probs.tolist())
+        scaled = (pos_probs * (size / total)).tolist()
 
         accept = [1.0] * size
         alias = list(range(size))
@@ -80,10 +110,14 @@ class AliasTable:
             accept[i] = 1.0
 
         self.size = size
+        self.total = total
         self.accept = np.asarray(accept, dtype=np.float64)
         self.alias = np.asarray(alias, dtype=np.int64)
         # identity mapping is skipped when every element is positive
         self.element_indices = None if size == probs.size else positive.astype(np.int64)
+        rank_dtype = np.int32 if probs.size <= np.iinfo(np.int32).max else np.int64
+        self.rank = np.empty(probs.size, dtype=rank_dtype)
+        self.rank[order] = np.arange(probs.size, dtype=rank_dtype)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` element-table indices, one uniform double each."""
@@ -100,7 +134,7 @@ class AliasTable:
 
 def sampler_table(dist: DiscreteDistribution) -> AliasTable:
     """Alias table for ``dist``, built once and cached on the distribution."""
-    return dist._cached("alias_table", lambda: AliasTable(dist.probs))
+    return dist._cached("alias_table", lambda: AliasTable(dist.probs, dist.order))
 
 
 class DualOracle:
@@ -169,3 +203,76 @@ class DualOracle:
         self.samp_count += int(count)
         self.eval_count += int(count)
         return self.dist.labels_at(idx), self.dist.probs[idx]
+
+    # -- the estimator's two statistics -----------------------------------
+
+    def order_statistic(self, count: int, k: int) -> tuple[int, float]:
+        """Draw ``count`` probability-revealing samples and return the (label,
+        prob) of the one at 0-based position ``k`` in canonical order.
+
+        Counts ``count`` SAMP and ``count`` EVAL queries.  The draws are the
+        ones :meth:`sample_with_prob_many` would make from the same stream
+        position, and the selected element is the one sorting them by
+        (probability, label) would put at position ``k``; ranks are
+        selected with a partition instead of a sort.
+        """
+        count = operator.index(count)
+        k = operator.index(k)
+        if not 0 <= k < count:
+            raise OutOfRangeError(f"order statistic {k} of {count} draws")
+        table = self._table
+        ranks = np.empty(count, dtype=table.rank.dtype)
+        for start in range(0, count, _CHUNK):
+            stop = min(start + _CHUNK, count)
+            idx = table.draw(self._rng, stop - start)
+            np.take(table.rank, idx, out=ranks[start:stop])
+        self.samp_count += count
+        self.eval_count += count
+        ranks.partition(k)
+        index = int(self.dist.order[ranks[k]])
+        return int(self.dist.labels[index]), float(self.dist.probs[index])
+
+    def _canonical_position(self, pivot: tuple[int, float]) -> int:
+        """Number of elements that precede ``pivot`` in canonical order."""
+        dist = self.dist
+
+        def key(position: int) -> tuple[float, int]:
+            index = dist.order[position]
+            return float(dist.probs[index]), int(dist.labels[index])
+
+        target = (float(pivot[1]), operator.index(pivot[0]))
+        return bisect.bisect_left(range(dist.size), target, key=key)
+
+    def inverse_prob_sum(self, count: int, pivot: tuple[int, float]) -> float:
+        """Sum of 1/prob over ``count`` probability-revealing draws that rank
+        at or above ``pivot`` in canonical order (draws below add 0).
+
+        Counts ``count`` SAMP and ``count`` EVAL queries.  The result has the
+        law of summing :func:`~ess_toolkit.estimator.inverse_prob_terms` over
+        ``count`` draws: the number of draws landing in each run of equal
+        probability at or above the pivot, and in the rest, is one
+        multinomial vector.
+        """
+        count = operator.index(count)
+        if count < 0:
+            raise OutOfRangeError("sample count must be nonnegative")
+        dist = self.dist
+        # zero-probability elements sort first and are never drawn
+        start = max(self._canonical_position(pivot), dist.size - dist.support_size)
+        probs = dist.probs[dist.order[start:]]
+        run_start = np.empty(probs.size, dtype=bool)
+        run_start[:1] = True
+        np.not_equal(probs[1:], probs[:-1], out=run_start[1:])
+        run_starts = np.flatnonzero(run_start)
+        values = probs[run_starts]
+        run_sizes = np.diff(np.append(run_starts, probs.size))
+        cells = run_sizes * values / self._table.total
+        # numpy draws every cell but the last as a binomial of the mass still
+        # unassigned and gives the last one the remaining draws; putting the
+        # rest (possibly 0) first leaves a run of positive mass last, so float
+        # drift cannot push a binomial probability above 1
+        rest = max(0.0, 1.0 - float(cells.sum()))
+        hits = self._rng.multinomial(count, np.concatenate(([rest], cells)))[1:]
+        self.samp_count += count
+        self.eval_count += count
+        return float((hits / values).sum())

@@ -135,6 +135,26 @@ def test_unicriterion_band_success_rate(fixture):
         assert elapsed < 120.0, f"fixture took {elapsed:.1f}s"
 
 
+def test_small_slack_unicriterion_trial_is_fast_and_in_band():
+    name = "unicriterion zipf_1e5 eps=beta=0.05 (t=2.56e11 queries, in band, <5s)"
+    with criterion(name):
+        config = ExperimentConfig(
+            dist_source=FIXTURES["zipf_1e5"],
+            eps=0.05,
+            beta=0.05,
+            gamma=None,
+            mode="unicriterion",
+            trials=1,
+            master_seed=derive_seed(777_000_222, 0),
+        )
+        start = time.perf_counter()
+        report = run_experiment(config)
+        elapsed = time.perf_counter() - start
+        assert report.total_samp_queries == 5_760_000 + 256_000_000_000
+        assert report.success_rate == 1.0, f"estimate {report.estimate_mean}"
+        assert elapsed < 5.0, f"trial took {elapsed:.2f}s"
+
+
 @pytest.mark.parametrize("fixture", ["uniform_1e4", "zipf_1e5"])
 def test_pivot_concentrates_between_exact_quantiles(fixture):
     name = f"pivot concentration {fixture} (1000 trials, >=85%)"

@@ -48,6 +48,22 @@ class TestExact:
     def test_bad_eps_exits_2(self):
         assert main(["exact", "--dist", "uniform:n=10", "--eps", "1.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("one_column.csv", "label,prob\n0,0.5\n1\n", "CSV line 3"),
+            ("no_label.json", '[{"label": 0, "prob": 1.0}, {"prob": 0}]', "JSON row 1"),
+            ("list_row.json", '[[0, 0.5], [1, 0.5]]', "JSON row 0"),
+        ],
+    )
+    def test_malformed_file_exits_2_naming_the_row(
+        self, tmp_path, capsys, name, text, where
+    ):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert main(["exact", "--dist", str(path), "--eps", "0.1"]) == 2
+        assert where in capsys.readouterr().err
+
 
 class TestRun:
     def test_full_run_csv(self, tmp_path, capsys):
@@ -107,6 +123,26 @@ class TestRun:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_master_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        code = main(
+            [
+                "run",
+                "--dist", "uniform:n=10",
+                "--eps", "0.2",
+                "--beta", "0.2",
+                "--gamma", "0.2",
+                "--mode", "bicriteria",
+                "--trials", "2",
+                "--seed", seed,
+                "--out", str(tmp_path / "r.csv"),
+                "--format", "csv",
+            ]
+        )
+        assert code == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_argparse_rejects_unknown_mode(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

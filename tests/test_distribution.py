@@ -308,6 +308,22 @@ class TestFileFormats:
         with pytest.raises(OutOfRangeError):
             read_distribution(path)
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("short_row.csv", "label,prob\n0,1.0\n7\n"),
+            ("long_row.csv", "label,prob\n0,1.0,extra\n"),
+            ("bad_label.csv", "label,prob\nzero,1.0\n"),
+            ("no_prob.json", '[{"label": 0}]'),
+            ("scalar_row.json", "[0.5]"),
+        ],
+    )
+    def test_malformed_rows_raise_out_of_range(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(OutOfRangeError):
+            read_distribution(path)
+
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(OutOfRangeError):
             write_distribution(uniform(2), tmp_path / "dist.txt")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ess_toolkit import (
     DualOracle,
@@ -20,7 +21,7 @@ from ess_toolkit import (
     select_pivot,
     validate,
 )
-from ess_toolkit.generators import GeneratorSpec, make_distribution
+from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
 
 A, B = 0, 1
 
@@ -238,48 +239,148 @@ class TestEstimateEss:
 
 
 class RecordingOracle(DualOracle):
-    """Spy that records which query methods the estimator touches."""
+    """Spy that records every query method the estimator touches, with the
+    requested count and what the call added to the (SAMP, EVAL) counters."""
 
     def __init__(self, dist, seed):
         super().__init__(dist, seed)
-        self.calls = set()
+        self.calls = []
+
+    def _record(self, name, count, method, *args):
+        before = self.query_counts()
+        result = method(*args)
+        after = self.query_counts()
+        self.calls.append((name, count, (after[0] - before[0], after[1] - before[1])))
+        return result
 
     def samp(self):
-        self.calls.add("samp")
-        return super().samp()
+        return self._record("samp", 1, super().samp)
 
     def samp_many(self, count):
-        self.calls.add("samp_many")
-        return super().samp_many(count)
+        return self._record("samp_many", count, super().samp_many, count)
 
     def eval(self, label):
-        self.calls.add("eval")
-        return super().eval(label)
+        return self._record("eval", 1, super().eval, label)
 
     def sample_with_prob(self):
-        self.calls.add("sample_with_prob")
-        return super().sample_with_prob()
+        return self._record("sample_with_prob", 1, super().sample_with_prob)
 
     def sample_with_prob_many(self, count):
-        self.calls.add("sample_with_prob_many")
-        return super().sample_with_prob_many(count)
+        return self._record(
+            "sample_with_prob_many", count, super().sample_with_prob_many, count
+        )
+
+    def order_statistic(self, count, k):
+        return self._record("order_statistic", count, super().order_statistic, count, k)
+
+    def inverse_prob_sum(self, count, pivot):
+        return self._record(
+            "inverse_prob_sum", count, super().inverse_prob_sum, count, pivot
+        )
 
 
 class TestProbabilityRevealingDiscipline:
+    # The estimator never evaluates labels it did not draw, so it runs
+    # unchanged when probability lookups are restricted to sampled items.
+    # Structurally it goes through the oracle's two statistics alone, each
+    # charged as its full batch of paired SAMP+EVAL queries.
+
     def test_estimator_only_uses_probability_revealing_draws(self):
-        # the estimator never evaluates labels it did not draw, so it runs
-        # unchanged when probability lookups are restricted to sampled items;
-        # structurally it goes through the paired-draw call alone
         dist = make_distribution(GeneratorSpec("zipf", n=300, s=1.0))
         oracle = RecordingOracle(dist, seed=44)
-        estimate_ess(oracle, EstimatorParams(0.3, 0.2, 0.2))
-        assert oracle.calls == {"sample_with_prob_many"}
+        params = EstimatorParams(0.3, 0.2, 0.2)
+        r_size, t_size = sample_sizes(params)
+        estimate_ess(oracle, params)
+        assert oracle.calls == [
+            ("order_statistic", r_size, (r_size, r_size)),
+            ("inverse_prob_sum", t_size, (t_size, t_size)),
+        ]
 
     def test_unicriterion_same_discipline(self):
         dist = make_distribution(GeneratorSpec("uniform", n=50))
         oracle = RecordingOracle(dist, seed=45)
-        estimate_ess_unicriterion(oracle, eps=0.5, beta=0.2)
-        assert oracle.calls == {"sample_with_prob_many"}
+        result = estimate_ess_unicriterion(oracle, eps=0.5, beta=0.2)
+        r_size = result.quantile_sample_size
+        t_size = result.estimator_sample_size
+        assert oracle.calls == [
+            ("order_statistic", r_size, (r_size, r_size)),
+            ("inverse_prob_sum", t_size, (t_size, t_size)),
+        ]
+
+
+LAW_FIXTURES = [
+    "zipf:n=1000,s=1.0",
+    "geometric:n=1000,rho=0.99",
+    # at eps=0.2 the pivot lies inside the run of ten tied heavy elements
+    "two_tier:n=10000,h=10,H=0.9",
+    "uniform:n=100,pad=9900",
+]
+
+
+class TestStatisticsMatchDrawReference:
+    """The oracle's two statistics against the draw-level definitions."""
+
+    @pytest.mark.parametrize("source", LAW_FIXTURES)
+    def test_pivot_identical_to_sorted_draws(self, source):
+        dist = make_distribution(parse_spec(source))
+        params = EstimatorParams(0.2, 0.2, 0.2)
+        r_size, _ = sample_sizes(params)
+        theta = (1.0 + params.beta_eff / 2.0) * params.eps
+        for i in range(200):
+            seed = derive_seed(9_100_000, i)
+            reference = DualOracle(dist, seed)
+            labels, probs = reference.sample_with_prob_many(r_size)
+            oracle = DualOracle(dist, seed)
+            pivot = select_pivot(oracle, params)
+            assert pivot == empirical_quantile(labels, probs, theta)
+            assert oracle.query_counts() == reference.query_counts()
+            # the draws left the stream where the reference left it
+            assert np.array_equal(oracle.samp_many(8), reference.samp_many(8))
+
+    @pytest.mark.parametrize("source", LAW_FIXTURES)
+    def test_every_order_statistic_matches_lexsort(self, source):
+        dist = make_distribution(parse_spec(source))
+        for i in range(20):
+            seed = derive_seed(9_200_000, i)
+            labels, probs = DualOracle(dist, seed).sample_with_prob_many(500)
+            order = np.lexsort((labels, probs))
+            for k in (0, 1, 137, 250, 498, 499):
+                expected = (int(labels[order[k]]), float(probs[order[k]]))
+                assert DualOracle(dist, seed).order_statistic(500, k) == expected
+
+    @pytest.mark.parametrize(
+        "source", ["zipf:n=1000,s=1.0", "two_tier:n=10000,h=10,H=0.9"]
+    )
+    def test_stage_two_law_matches_stream_draws(self, source):
+        dist = make_distribution(parse_spec(source))
+        label = exact_quantile(dist, 0.2)
+        pivot = (label, dist.prob_of(label))
+        t_size = 2000
+        counts_means = []
+        stream_means = []
+        for i in range(300):
+            oracle = DualOracle(dist, derive_seed(9_300_000, i))
+            counts_means.append(oracle.inverse_prob_sum(t_size, pivot) / t_size)
+            reference = DualOracle(dist, derive_seed(9_400_000, i))
+            labels, probs = reference.sample_with_prob_many(t_size)
+            stream_means.append(float(inverse_prob_terms(labels, probs, pivot).mean()))
+        assert stats.ks_2samp(counts_means, stream_means).pvalue > 0.01
+
+    def test_stage_two_mean_within_exact_standard_error(self):
+        # E[1/p] over elements at or above the pivot is their count; the
+        # variance is sum(1/p) over them minus the count squared
+        dist = make_distribution(GeneratorSpec("zipf", n=100_000, s=1.0))
+        eps = 0.2
+        label = exact_quantile(dist, eps)
+        pivot = (label, dist.prob_of(label))
+        ess = exact_ess(dist, eps)
+        above = dist.probs[dist.order[dist.size - ess:]]
+        t_size = 10**9
+        stderr = math.sqrt((float(np.sum(1.0 / above)) - ess**2) / t_size)
+        oracle = DualOracle(dist, seed=9_500_000)
+        mean = oracle.inverse_prob_sum(t_size, pivot) / t_size
+        assert abs(mean - ess) <= 4 * stderr
+        assert oracle.query_counts() == (t_size, t_size)
 
 
 class TestUnicriterion:

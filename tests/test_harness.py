@@ -64,6 +64,14 @@ class TestConfigValidation:
         with pytest.raises(OutOfRangeError):
             small_config(eps=0.0)
 
+    def test_master_seed_range(self):
+        # derive_seed reduces modulo 2**64, so -1 and 2**64-1 would alias
+        small_config(master_seed=0)
+        small_config(master_seed=2**64 - 1)
+        for seed in (-1, 2**64, 2**70):
+            with pytest.raises(OutOfRangeError):
+                small_config(master_seed=seed)
+
 
 class TestLoadDistribution:
     def test_generator_string(self):

@@ -214,3 +214,77 @@ class TestDeriveSeed:
     def test_negative_index_rejected(self):
         with pytest.raises(OutOfRangeError):
             derive_seed(1, -1)
+
+
+class TestOrderStatistic:
+    def test_counts_both_queries(self):
+        oracle = DualOracle(validate({A: 0.4, B: 0.6}), seed=1)
+        oracle.order_statistic(1000, 10)
+        assert oracle.query_counts() == (1000, 1000)
+
+    def test_spans_several_chunks(self):
+        # more draws than one chunk: still the k-th of the whole stream
+        dist = make_distribution(GeneratorSpec("zipf", n=1000, s=1.0))
+        count = 200_001
+        labels = DualOracle(dist, seed=3).samp_many(count)
+        probs = dist.probs[labels.astype(np.int64)]
+        order = np.lexsort((labels, probs))
+        for k in (0, 70_000, count - 1):
+            expected = (int(labels[order[k]]), float(probs[order[k]]))
+            assert DualOracle(dist, seed=3).order_statistic(count, k) == expected
+
+    def test_scattered_labels(self):
+        dist = validate({2**63 + 9: 0.5, 17: 0.25, 2**40: 0.25})
+        labels, probs = DualOracle(dist, seed=4).sample_with_prob_many(99)
+        order = np.lexsort((labels, probs))
+        expected = (int(labels[order[60]]), float(probs[order[60]]))
+        assert DualOracle(dist, seed=4).order_statistic(99, 60) == expected
+
+    def test_position_range_checked(self):
+        oracle = DualOracle(point_mass(), seed=1)
+        for count, k in [(0, 0), (5, 5), (5, -1)]:
+            with pytest.raises(OutOfRangeError):
+                oracle.order_statistic(count, k)
+        assert oracle.query_counts() == (0, 0)
+
+
+class TestInverseProbSum:
+    def test_point_mass_is_exact(self):
+        oracle = DualOracle(point_mass(), seed=2)
+        assert oracle.inverse_prob_sum(12345, (A, 1.0)) == 12345.0
+        assert oracle.query_counts() == (12345, 12345)
+
+    def test_pivot_tie_counts_from_its_label(self):
+        # every element ties; the pivot label and the larger ones count
+        dist = make_distribution(GeneratorSpec("uniform", n=8))
+        oracle = DualOracle(dist, seed=3)
+        total = oracle.inverse_prob_sum(100_000, (5, 0.125))
+        hits = total * 0.125
+        # hits ~ Bin(1e5, 3/8): 3/8 +- 0.01 is more than 6 sigma wide
+        assert hits == int(hits)
+        assert abs(hits / 100_000 - 3 / 8) < 0.01
+
+    def test_zero_probability_pivot_counts_all_draws(self):
+        dist = make_distribution(GeneratorSpec("uniform", n=8, zero_pad=100))
+        oracle = DualOracle(dist, seed=4)
+        assert oracle.inverse_prob_sum(1000, (8, 0.0)) == 8000.0
+
+    def test_pivot_above_every_element_counts_nothing(self):
+        dist = make_distribution(GeneratorSpec("zipf", n=50, s=1.0))
+        oracle = DualOracle(dist, seed=5)
+        assert oracle.inverse_prob_sum(1000, (10**6, 1.0)) == 0.0
+        assert oracle.query_counts() == (1000, 1000)
+
+    def test_zero_and_negative_counts(self):
+        oracle = DualOracle(point_mass(), seed=6)
+        assert oracle.inverse_prob_sum(0, (A, 1.0)) == 0.0
+        with pytest.raises(OutOfRangeError):
+            oracle.inverse_prob_sum(-1, (A, 1.0))
+        assert oracle.query_counts() == (0, 0)
+
+    def test_deterministic_given_seed(self):
+        dist = make_distribution(GeneratorSpec("geometric", n=500, rho=0.99))
+        pivot = (250, dist.prob_of(250))
+        first = DualOracle(dist, seed=7).inverse_prob_sum(10**7, pivot)
+        second = DualOracle(dist, seed=7).inverse_prob_sum(10**7, pivot)
+        assert first == second
