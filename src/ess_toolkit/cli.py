@@ -3,13 +3,14 @@
 Subcommands: ``run`` executes a seeded experiment and writes a report,
 ``exact`` prints ground-truth values for a distribution, ``gen`` writes a
 generated distribution to a file.  Exit codes: 0 on success, 2 on
-validation errors, 1 on I/O errors.
+validation errors, 1 on I/O errors and on a worker process that died.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .distribution import exact_ess, exact_quantile, write_distribution
 from .errors import EssToolkitError
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

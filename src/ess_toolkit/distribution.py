@@ -91,7 +91,10 @@ class DiscreteDistribution:
 
     def __init__(self, labels, probs) -> None:
         label_arr = _as_label_array(labels)
-        prob_arr = np.asarray(probs, dtype=np.float64).copy()
+        try:
+            prob_arr = np.asarray(probs, dtype=np.float64).copy()
+        except (TypeError, ValueError, OverflowError):
+            raise OutOfRangeError("probabilities must be numbers") from None
         if prob_arr.ndim != 1 or prob_arr.size != label_arr.size:
             raise OutOfRangeError("labels and probs must be sequences of equal length")
         if label_arr.size == 0:

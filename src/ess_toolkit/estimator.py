@@ -26,7 +26,7 @@ lookups are restricted to sampled items or not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,37 +44,59 @@ MEAN_SAMPLE_CONSTANT = 500.0
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Target level ``eps`` plus the two slack parameters ``beta`` and ``gamma``.
+    """The plan of an estimator run, and the one home of every parameter rule.
 
-    ``beta`` widens the tolerated level to (1+beta)*eps; ``gamma`` is the
-    tolerated multiplicative error.  Values above ``SLACK_CAP`` are clamped
-    internally (see ``beta_eff`` / ``gamma_eff``).
+    ``eps`` is the target level, ``beta`` widens it to (1+beta)*eps and
+    ``gamma`` is the multiplicative slack.  ``gamma=None`` asks for the
+    unicriterion answer in [ess((1+beta)*eps), ess(eps)]: both stages run
+    with slack ``beta_eff/2`` and ``gamma_eff = eps*beta_eff/2``, and the
+    output is divided by ``1 + gamma_eff``.  Range checks, the ``SLACK_CAP``
+    clamp, the degenerate rule and the band levels all live here.
     """
 
     eps: float
     beta: float
-    gamma: float
+    gamma: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise OutOfRangeError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if not self.beta > 0.0:
-            raise OutOfRangeError(f"beta must be positive, got {self.beta!r}")
-        if not self.gamma > 0.0:
-            raise OutOfRangeError(f"gamma must be positive, got {self.gamma!r}")
+        if not 0.0 < self.beta < math.inf:
+            raise OutOfRangeError(f"beta must lie in (0, inf), got {self.beta!r}")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise OutOfRangeError(f"gamma must lie in (0, inf), got {self.gamma!r}")
 
     @property
     def beta_eff(self) -> float:
         return min(self.beta, SLACK_CAP)
 
     @property
+    def stage_beta(self) -> float:
+        """Distance slack both stages run with."""
+        return self.beta_eff if self.gamma is not None else self.beta_eff / 2.0
+
+    @property
     def gamma_eff(self) -> float:
+        """Multiplicative slack stage two runs with."""
+        if self.gamma is None:
+            return self.eps * self.stage_beta
         return min(self.gamma, SLACK_CAP)
 
     @property
     def is_degenerate(self) -> bool:
         """True when even a single point mass is within the tolerated distance."""
         return (1.0 + self.beta_eff) * self.eps >= 1.0
+
+    @property
+    def band_levels(self) -> tuple[float, float]:
+        """(relaxed level, factor on ess(eps)) of the band of valid answers.
+
+        Bicriteria uses the uncapped ``beta`` and ``gamma``; unicriterion
+        uses ``beta_eff`` and the factor 1.
+        """
+        if self.gamma is None:
+            return (1.0 + self.beta_eff) * self.eps, 1.0
+        return (1.0 + self.beta) * self.eps, 1.0 + self.gamma
 
 
 @dataclass(frozen=True)
@@ -105,11 +127,11 @@ def _ceil_sample_size(value: float) -> int:
 def sample_sizes(params: EstimatorParams) -> tuple[int, int]:
     """Stage sizes (pivot batch, averaging batch).
 
-    Both depend only on (eps, beta_eff, gamma_eff) -- never on the
+    Both depend only on (eps, stage_beta, gamma_eff) -- never on the
     distribution being queried.
     """
     eps = params.eps
-    beta = params.beta_eff
+    beta = params.stage_beta
     gamma = params.gamma_eff
     r_size = _ceil_sample_size(PIVOT_SAMPLE_CONSTANT / (beta * beta * eps))
     t_size = _ceil_sample_size(MEAN_SAMPLE_CONSTANT / (eps * beta * gamma * gamma))
@@ -155,7 +177,7 @@ def select_pivot(oracle: DualOracle, params: EstimatorParams) -> tuple[int, floa
             "degenerate parameters: any single element is already a valid answer"
         )
     r_size, _ = sample_sizes(params)
-    theta = (1.0 + params.beta_eff / 2.0) * params.eps
+    theta = (1.0 + params.stage_beta / 2.0) * params.eps
     return oracle.order_statistic(r_size, _strict_rank_index(theta * r_size, r_size))
 
 
@@ -177,37 +199,28 @@ def inverse_prob_terms(labels, probs, pivot: tuple[int, float]) -> np.ndarray:
     return at_or_above / probs
 
 
-def _degenerate_result() -> EstimateResult:
-    return EstimateResult(
-        estimate=1.0,
-        raw_mean=1.0,
-        pivot=None,
-        quantile_sample_size=0,
-        estimator_sample_size=0,
-        samp_queries=0,
-        eval_queries=0,
-    )
-
-
 def estimate_ess(oracle: DualOracle, params: EstimatorParams) -> EstimateResult:
     """Estimate the effective support size at level ``params.eps``.
 
     When (1+beta)*eps >= 1 the answer 1 is always valid and is returned
-    without touching the oracle.  Otherwise the guarantee is that, with
-    probability at least 2/3 per call, the estimate lies between the
-    effective support size at level (1+beta)*eps and (1+gamma) times the
-    one at level eps.
+    without touching the oracle.  Otherwise, with probability at least 2/3
+    per call, the estimate lies between the effective support size at level
+    (1+beta)*eps and (1+gamma) times the one at level eps -- or, when
+    ``params.gamma`` is None, the one at level eps itself.
     """
     if params.is_degenerate:
-        return _degenerate_result()
+        return EstimateResult(1.0, 1.0, None, 0, 0, 0, 0)  # no pivot, no queries
     samp_before, eval_before = oracle.query_counts()
     r_size, t_size = sample_sizes(params)
     pivot = select_pivot(oracle, params)
     raw_mean = oracle.inverse_prob_sum(t_size, pivot) / t_size
+    estimate = (1.0 + params.gamma_eff / 2.0) * raw_mean
+    if params.gamma is None:
+        estimate = estimate / (1.0 + params.gamma_eff)
 
     samp_after, eval_after = oracle.query_counts()
     return EstimateResult(
-        estimate=(1.0 + params.gamma_eff / 2.0) * raw_mean,
+        estimate=estimate,
         raw_mean=raw_mean,
         pivot=pivot,
         quantile_sample_size=r_size,
@@ -220,25 +233,10 @@ def estimate_ess(oracle: DualOracle, params: EstimatorParams) -> EstimateResult:
 def estimate_ess_unicriterion(
     oracle: DualOracle, eps: float, beta: float
 ) -> EstimateResult:
-    """Estimate with no multiplicative slack in the guarantee.
+    """Estimate with no multiplicative slack: ``EstimatorParams(eps, beta)``.
 
-    Runs the two-stage estimator with a halved distance slack and a
-    multiplicative slack tied to it (gamma = eps * beta/2), then rescales
-    the output by 1/(1+gamma).  With probability at least 2/3 per call the
-    result lies between the effective support sizes at levels (1+beta)*eps
-    and eps -- the gamma = 0 form of the guarantee.  Rounding the returned
-    real to the nearest integer is the caller's job.
+    With probability at least 2/3 per call the result lies between the
+    effective support sizes at levels (1+beta)*eps and eps.  Rounding the
+    returned real to the nearest integer is the caller's job.
     """
-    eps = float(eps)
-    beta = float(beta)
-    if not 0.0 < eps < 1.0:
-        raise OutOfRangeError(f"eps must lie in (0, 1), got {eps!r}")
-    if not beta > 0.0:
-        raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    beta_capped = min(beta, SLACK_CAP)
-    if (1.0 + beta_capped) * eps >= 1.0:
-        return _degenerate_result()
-    beta_inner = beta_capped / 2.0
-    gamma = eps * beta_inner
-    inner = estimate_ess(oracle, EstimatorParams(eps, beta_inner, gamma))
-    return replace(inner, estimate=inner.estimate / (1.0 + gamma))
+    return estimate_ess(oracle, EstimatorParams(eps, beta))

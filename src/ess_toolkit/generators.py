@@ -25,8 +25,7 @@ class GeneratorSpec:
 
     Grammar for the CLI form is ``family:key=value[,key=value...]`` with
     keys ``n``, ``s`` (zipf exponent), ``rho`` (geometric ratio), ``h`` and
-    ``H`` (two_tier heavy count / heavy mass), ``pad`` (zero_pad), and
-    ``seed`` (reserved; no family is randomized yet).
+    ``H`` (two_tier heavy count / heavy mass) and ``pad`` (zero_pad).
     """
 
     family: str
@@ -36,7 +35,6 @@ class GeneratorSpec:
     h: int | None = None
     heavy_mass: float | None = None
     zero_pad: int = 0
-    seed: int | None = None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -105,7 +103,7 @@ def make_distribution(spec: GeneratorSpec) -> DiscreteDistribution:
     return DiscreteDistribution.from_probs(probs)
 
 
-_INT_KEYS = {"n": "n", "h": "h", "pad": "zero_pad", "seed": "seed"}
+_INT_KEYS = {"n": "n", "h": "h", "pad": "zero_pad"}
 _FLOAT_KEYS = {"s": "s", "rho": "rho", "H": "heavy_mass"}
 
 
@@ -149,6 +147,4 @@ def spec_string(spec: GeneratorSpec) -> str:
         parts.append(f"H={spec.heavy_mass:.17g}")
     if spec.zero_pad:
         parts.append(f"pad={spec.zero_pad}")
-    if spec.seed is not None:
-        parts.append(f"seed={spec.seed}")
     return f"{spec.family}:{','.join(parts)}"

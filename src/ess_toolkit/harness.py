@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from .distribution import (
@@ -21,12 +22,7 @@ from .distribution import (
     read_distribution,
 )
 from .errors import OutOfRangeError
-from .estimator import (
-    EstimatorParams,
-    estimate_ess,
-    estimate_ess_unicriterion,
-    SLACK_CAP,
-)
+from .estimator import EstimatorParams, estimate_ess
 from .generators import (
     FAMILIES,
     GeneratorSpec,
@@ -80,15 +76,12 @@ class ExperimentConfig:
             raise OutOfRangeError(
                 f"master_seed must lie in [0, 2**64), got {self.master_seed}"
             )
-        if not 0.0 < self.eps < 1.0:
-            raise OutOfRangeError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if not self.beta > 0.0:
-            raise OutOfRangeError(f"beta must be positive, got {self.beta!r}")
-        if self.mode == "bicriteria":
-            if self.gamma is None or not self.gamma > 0.0:
-                raise OutOfRangeError(
-                    f"bicriteria mode needs gamma > 0, got {self.gamma!r}"
-                )
+        _params(self.eps, self.beta, self.gamma, self.mode)  # range checks
+
+    @property
+    def params(self) -> EstimatorParams:
+        """The estimator plan of this config (unicriterion ignores ``gamma``)."""
+        return _params(self.eps, self.beta, self.gamma, self.mode)
 
 
 @dataclass(frozen=True)
@@ -125,6 +118,15 @@ class ExperimentReport:
     trials: tuple[TrialRecord, ...]
 
 
+def _params(eps, beta, gamma, mode: str) -> EstimatorParams:
+    # unicriterion is the gamma=None plan; bicriteria must name its gamma
+    if mode != "bicriteria":
+        return EstimatorParams(eps, beta)
+    if gamma is None:
+        raise OutOfRangeError("bicriteria mode needs a gamma")
+    return EstimatorParams(eps, beta, gamma)
+
+
 def load_distribution(source) -> DiscreteDistribution:
     """Resolve a config ``dist_source`` into a validated distribution."""
     if isinstance(source, DiscreteDistribution):
@@ -147,23 +149,15 @@ def band_endpoints(
 ) -> tuple[float, float, int, int]:
     """Exact acceptance band for one configuration.
 
-    Returns (band_low, band_high, ess at eps, ess at the relaxed level).
-    In bicriteria mode the band is [ess_relaxed, (1+gamma)*ess_eps]; in
-    unicriterion mode it is [ess_relaxed, ess_eps] with the relaxed level
-    using the capped beta actually served by the estimator.
+    Returns (band_low, band_high, ess at eps, ess at the relaxed level):
+    the band is [ess_relaxed, factor * ess_eps] with the levels of
+    :attr:`EstimatorParams.band_levels`.
     """
+    relaxed_level, factor = _params(eps, beta, gamma, mode).band_levels
     ess_eps = exact_ess(dist, eps)
-    if mode == "bicriteria":
-        relaxed_level = (1.0 + beta) * eps
-    else:
-        relaxed_level = (1.0 + min(beta, SLACK_CAP)) * eps
     # at or beyond level 1 a single point mass is always close enough
     ess_relaxed = 1 if relaxed_level >= MAX_EPS else exact_ess(dist, relaxed_level)
-    if mode == "bicriteria":
-        band_high = (1.0 + float(gamma)) * ess_eps
-    else:
-        band_high = float(ess_eps)
-    return float(ess_relaxed), band_high, ess_eps, ess_relaxed
+    return float(ess_relaxed), factor * ess_eps, ess_eps, ess_relaxed
 
 
 def _within_band(estimate: float, low: float, high: float, mode: str) -> bool:
@@ -198,12 +192,7 @@ def _run_trial(
     seed = derive_seed(config.master_seed, index)
     oracle = DualOracle(dist, seed)
     start = time.perf_counter_ns()
-    if config.mode == "bicriteria":
-        result = estimate_ess(
-            oracle, EstimatorParams(config.eps, config.beta, config.gamma)
-        )
-    else:
-        result = estimate_ess_unicriterion(oracle, config.eps, config.beta)
+    result = estimate_ess(oracle, config.params)
     elapsed = time.perf_counter_ns() - start
     return TrialRecord(
         trial_index=index,
@@ -236,10 +225,13 @@ def _trial_by_index(index: int) -> TrialRecord:
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run all trials of ``config`` and (optionally) write the report.
 
-    ``jobs`` > 1 runs trials in a process pool.  Per-trial seeds are derived
+    ``jobs`` > 1 runs trials on ``min(jobs, trials, cpu_count)`` worker
+    processes; a worker that dies raises ``BrokenProcessPool``.  Seeds come
     from (master_seed, trial_index) alone, so serial and parallel execution
     produce identical records apart from wall-clock timings.
     """
+    if jobs < 1:
+        raise OutOfRangeError(f"jobs must be >= 1, got {jobs}")
     dist = load_distribution(config.dist_source)
     band_low, band_high, ess_eps, ess_relaxed = band_endpoints(
         dist, config.eps, config.beta, config.gamma, config.mode
@@ -247,21 +239,25 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     sampler_table(dist)  # build once here so workers inherit it
 
     indices = range(config.trials)
-    if jobs <= 1 or config.trials == 1:
+    workers = min(jobs, config.trials, os.cpu_count() or 1)
+    if workers == 1:
         records = [
             _run_trial(dist, config, band_low, band_high, i) for i in indices
         ]
     else:
+        # imported here: the pool module adds about 1 MiB that serial runs skip
+        from concurrent.futures import ProcessPoolExecutor
+
         context = (dist, config, band_low, band_high)
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = multiprocessing.get_context()
-        chunk = max(1, config.trials // (jobs * 4))
-        with ctx.Pool(
-            processes=jobs, initializer=_init_trial_worker, initargs=(context,)
+        chunk = max(1, config.trials // (workers * 4))
+        with ProcessPoolExecutor(
+            workers, ctx, initializer=_init_trial_worker, initargs=(context,)
         ) as pool:
-            records = pool.map(_trial_by_index, indices, chunksize=chunk)
+            records = list(pool.map(_trial_by_index, indices, chunksize=chunk))
 
     estimates = [r.estimate for r in records]
     report = ExperimentReport(

@@ -1,9 +1,71 @@
 import json
+import os
+import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ess_toolkit import read_distribution
+from ess_toolkit import harness, read_distribution
 from ess_toolkit.cli import main
+
+
+def run_argv(out, **flags):
+    """``run`` arguments for a small valid bicriteria experiment."""
+    options = {
+        "dist": "uniform:n=10",
+        "eps": "0.2",
+        "beta": "0.2",
+        "gamma": "0.2",
+        "mode": "bicriteria",
+        "trials": "2",
+        "seed": "1",
+        "out": str(out),
+        "format": "json",
+        **flags,
+    }
+    argv = ["run"]
+    for key, value in options.items():
+        argv += [f"--{key}", value]
+    return argv
+
+
+# distribution-file fuzzing: fields that are numbers, near-numbers or noise
+_fields = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+_csv_files = st.one_of(
+    st.builds(
+        lambda header, rows: "\n".join([header] + [",".join(r) for r in rows]),
+        st.sampled_from(["label,prob", "label", "prob,label", ""]),
+        st.lists(st.lists(_fields, min_size=1, max_size=3), max_size=6),
+    ).map(lambda text: text.encode("utf-8")),
+    st.binary(max_size=40),
+)
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_json_rows = st.one_of(
+    st.fixed_dictionaries(
+        {"label": st.integers(0, 5), "prob": st.sampled_from([0.5, 1.0]) | _json_values}
+    ),
+    st.fixed_dictionaries({"label": _json_values, "prob": _json_values}),
+    _json_values,
+)
+_json_files = st.one_of(
+    st.lists(_json_rows, max_size=5).map(lambda rows: json.dumps(rows).encode("utf-8")),
+    _json_values.map(lambda value: json.dumps(value).encode("utf-8")),
+    st.binary(max_size=40),
+)
 
 
 class TestGen:
@@ -54,6 +116,7 @@ class TestExact:
             ("one_column.csv", "label,prob\n0,0.5\n1\n", "CSV line 3"),
             ("no_label.json", '[{"label": 0, "prob": 1.0}, {"prob": 0}]', "JSON row 1"),
             ("list_row.json", '[[0, 0.5], [1, 0.5]]', "JSON row 0"),
+            ("object_prob.json", '[{"label": 1, "prob": {}}]', "must be numbers"),
         ],
     )
     def test_malformed_file_exits_2_naming_the_row(
@@ -63,6 +126,19 @@ class TestExact:
         path.write_text(text, encoding="utf-8")
         assert main(["exact", "--dist", str(path), "--eps", "0.1"]) == 2
         assert where in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        suffix=st.sampled_from([".csv", ".json"]),
+        csv_bytes=_csv_files,
+        json_bytes=_json_files,
+    )
+    def test_fuzzed_file_gives_an_exit_code(
+        self, tmp_path_factory, suffix, csv_bytes, json_bytes
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / f"dist{suffix}"
+        path.write_bytes(csv_bytes if suffix == ".csv" else json_bytes)
+        assert main(["exact", "--dist", str(path), "--eps", "0.1"]) in (0, 1, 2)
 
 
 class TestRun:
@@ -143,6 +219,28 @@ class TestRun:
         assert code == 2
         assert "master_seed" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["gamma", "beta"])
+    def test_infinite_slack_exits_2(self, tmp_path, flag):
+        out = tmp_path / "r.json"
+        assert main(run_argv(out, **{flag: "inf"})) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "r.json"
+        assert main(run_argv(out, jobs=jobs)) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_killed_worker_exits_1(self, tmp_path, monkeypatch, pool_spy, alarm):
+        def die(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_run_trial", die)  # inherited by forked workers
+        assert main(run_argv(tmp_path / "r.json", jobs="2")) == 1
+        assert pool_spy == [2]
 
     def test_argparse_rejects_unknown_mode(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

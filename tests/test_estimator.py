@@ -36,6 +36,9 @@ class TestParams:
             (0.5, 0.1, 0.0),
             (0.5, -1.0, 0.1),
             (float("nan"), 0.1, 0.1),
+            (0.5, 0.1, float("inf")),
+            (0.5, float("inf"), 0.1),
+            (0.5, float("inf"), None),
         ]:
             with pytest.raises(OutOfRangeError):
                 EstimatorParams(eps, beta, gamma)
@@ -48,6 +51,23 @@ class TestParams:
     def test_degenerate_boundary(self):
         assert EstimatorParams(0.9, 0.2, 0.2).is_degenerate  # 1.2 * 0.9 >= 1
         assert not EstimatorParams(0.8, 0.2, 0.2).is_degenerate  # 0.96 < 1
+
+    def test_unicriterion_plan(self):
+        # gamma=None: the stages run at beta_eff/2 with gamma = eps*beta_eff/2,
+        # while the degenerate rule keeps the capped requested beta
+        params = EstimatorParams(0.5, 0.7)
+        assert (params.beta_eff, params.stage_beta, params.gamma_eff) == (
+            0.2,
+            0.1,
+            0.05,
+        )
+        assert sample_sizes(params) == sample_sizes(EstimatorParams(0.5, 0.1, 0.05))
+        assert EstimatorParams(0.9, 0.2).is_degenerate  # 1.1 * 0.9 < 1 would not be
+
+    def test_band_levels(self):
+        # bicriteria bands use the requested slack, unicriterion the capped beta
+        assert EstimatorParams(0.3, 0.7, 1.3).band_levels == (1.7 * 0.3, 1.0 + 1.3)
+        assert EstimatorParams(0.3, 0.7).band_levels == (1.2 * 0.3, 1.0)
 
 
 class TestSampleSizes:

@@ -145,6 +145,7 @@ class TestParseSpec:
             "uniform:n=10,weird=1",
             "zipf:n=10",
             "two_tier:n=10,h=2",
+            "uniform:n=10,seed=3",
         ],
     )
     def test_malformed_rejected(self, text):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from ess_toolkit import harness
 from ess_toolkit import (
     ExperimentConfig,
     GeneratorSpec,
@@ -63,6 +64,11 @@ class TestConfigValidation:
     def test_eps_range(self):
         with pytest.raises(OutOfRangeError):
             small_config(eps=0.0)
+
+    def test_params_follow_mode(self):
+        assert small_config().params == EstimatorParams(0.2, 0.2, 0.2)
+        uni = small_config(mode="unicriterion", gamma=0.3)
+        assert uni.params == EstimatorParams(0.2, 0.2)
 
     def test_master_seed_range(self):
         # derive_seed reduces modulo 2**64, so -1 and 2**64-1 would alias
@@ -162,6 +168,16 @@ class TestRunExperiment:
         serial = run_experiment(config, jobs=1)
         parallel = run_experiment(config, jobs=max(2, JOBS))
         assert strip_timing(serial) == strip_timing(parallel)
+
+    def test_pool_size_bounded_by_jobs_trials_and_cpus(self, monkeypatch, pool_spy):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        run_experiment(small_config(trials=2), jobs=64)  # bounded by trials
+        run_experiment(small_config(trials=5), jobs=2)  # bounded by jobs
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        run_experiment(small_config(trials=5), jobs=64)  # bounded by cpus
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+        run_experiment(small_config(trials=5), jobs=2)  # one cpu: serial
+        assert pool_spy == [2, 2, 2]
 
     def test_writes_report_file(self, tmp_path):
         out = tmp_path / "report.json"
