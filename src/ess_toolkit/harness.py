@@ -13,6 +13,7 @@ import json
 import math
 import multiprocessing
 import os
+import stat
 import time
 from dataclasses import dataclass
 from .distribution import (
@@ -275,9 +276,41 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         trials=tuple(records),
     )
     if config.out_path is not None:
-        with open(config.out_path, "wb") as fh:
-            fh.write(emit_report(report, config.format))
+        _write_report(report, config.out_path)
     return report
+
+
+def _write_report(report: ExperimentReport, path) -> None:
+    """Write ``report`` to ``path``.
+
+    A regular file, or a path that does not exist yet, gets the report in a
+    temporary file beside it that is then renamed into place, keeping the
+    old file's mode, so a failed write leaves any earlier file as it was and
+    no partial report behind.  Anything else (a symlink, ``/dev/null``, a
+    pipe) is opened and written through, as before: renaming over it would
+    replace the link or device itself.
+    """
+    data = emit_report(report, report.config.format)
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # -- report serialization ---------------------------------------------------
@@ -318,7 +351,8 @@ def _config_dict(config: ExperimentConfig) -> dict:
         "dist_source": str(source),
         "eps": config.eps,
         "beta": config.beta,
-        "gamma": config.gamma,
+        # unicriterion ignores gamma, which may then be any float, inf included
+        "gamma": config.gamma if config.mode == "bicriteria" else None,
         "mode": config.mode,
         "trials": config.trials,
         "master_seed": config.master_seed,

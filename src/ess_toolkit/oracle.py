@@ -66,6 +66,24 @@ def derive_seed(master_seed: int, index: int) -> int:
     return z
 
 
+def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums ``0, x[0], x[0]+x[1], ...`` as two float64 arrays.
+
+    ``hi`` is the float64 running sum; ``lo`` is the running sum of the
+    rounding error of each of its additions, found exactly by TwoSum (Knuth,
+    TAOCP vol. 2, 4.2.2), so ``hi + lo`` carries about twice the precision
+    on every platform.
+    """
+    hi = np.zeros(x.size + 1)
+    np.cumsum(x, out=hi[1:])
+    before, after = hi[:-1], hi[1:]
+    added = after - before
+    err = (before - (after - added)) + (x - added)
+    lo = np.zeros(x.size + 1)
+    np.cumsum(err, out=lo[1:])
+    return hi, lo
+
+
 class AliasTable:
     """Alias structure over the positive-probability elements of a pmf.
 
@@ -74,6 +92,13 @@ class AliasTable:
     elements map to ranks with one gather.  ``total`` is the exact mass the
     table normalizes by: an element is drawn with probability
     ``probs[i] / total``.
+
+    The build is Vose's sweep (Vose, IEEE TSE 1991) written as prefix sums.
+    Slot weights are scaled to mean 1; slots below 1 are *small*, the rest
+    *large*, each in index order.  Small slot j keeps its weight and aliases
+    the first large whose cumulative excess reaches the cumulative deficit
+    of the smalls before j.  A large that the deficits push below 1 keeps
+    ``1 - overshoot`` and aliases the next large; the last large keeps 1.
     """
 
     __slots__ = ("size", "total", "accept", "alias", "element_indices", "rank")
@@ -87,32 +112,39 @@ class AliasTable:
         # normalize exactly so the table encodes a true distribution even
         # when the stored mass is off by the validator tolerance
         total = math.fsum(pos_probs.tolist())
-        scaled = (pos_probs * (size / total)).tolist()
+        scaled = pos_probs * (size / total)
 
-        accept = [1.0] * size
-        alias = list(range(size))
-        small = [i for i, w in enumerate(scaled) if w < 1.0]
-        large = [i for i, w in enumerate(scaled) if w >= 1.0]
-        while small and large:
-            s = small.pop()
-            big = large.pop()
-            accept[s] = scaled[s]
-            alias[s] = big
-            scaled[big] -= 1.0 - scaled[s]
-            if scaled[big] < 1.0:
-                small.append(big)
-            else:
-                large.append(big)
-        # float leftovers on either stack correspond to weight ~1
-        for i in small:
-            accept[i] = 1.0
-        for i in large:
-            accept[i] = 1.0
+        accept = np.ones(size)
+        alias = np.arange(size, dtype=np.int64)
+        small = np.flatnonzero(scaled < 1.0)
+        large = np.flatnonzero(scaled >= 1.0)
+        # with no large slot every weight is 1 up to float noise: all accept
+        if small.size and large.size:
+            deficit, deficit_lo = _prefix_sums(1.0 - scaled[small])
+            excess, excess_lo = _prefix_sums(scaled[large] - 1.0)
+            # both searches compare the same float64 sums, so whatever the
+            # rounding, a large's accept plus the deficits it takes
+            # telescope to its weight; deficits past the last large's
+            # excess are float noise and go to the last large
+            target = np.searchsorted(excess[1:], deficit[:-1], side="left")
+            np.minimum(target, large.size - 1, out=target)
+            accept[small] = scaled[small]
+            alias[small] = large[target]
+            # a large before the last is depleted by the first small whose
+            # cumulative deficit passes its cumulative excess
+            cause = np.searchsorted(deficit[1:], excess[1:-1], side="right")
+            depleted = np.flatnonzero(cause < small.size)
+            through = cause[depleted] + 1
+            overshoot = (deficit[through] - excess[depleted + 1]) + (
+                deficit_lo[through] - excess_lo[depleted + 1]
+            )
+            accept[large[depleted]] = np.clip(1.0 - overshoot, 0.0, 1.0)
+            alias[large[depleted]] = large[depleted + 1]
 
         self.size = size
         self.total = total
-        self.accept = np.asarray(accept, dtype=np.float64)
-        self.alias = np.asarray(alias, dtype=np.int64)
+        self.accept = accept
+        self.alias = alias
         # identity mapping is skipped when every element is positive
         self.element_indices = None if size == probs.size else positive.astype(np.int64)
         rank_dtype = np.int32 if probs.size <= np.iinfo(np.int32).max else np.int64

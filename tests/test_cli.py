@@ -2,11 +2,18 @@ import json
 import os
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ess_toolkit import harness, read_distribution
+from ess_toolkit import (
+    DiscreteDistribution,
+    exact_ess,
+    harness,
+    read_distribution,
+    write_distribution,
+)
 from ess_toolkit.cli import main
 
 
@@ -114,6 +121,15 @@ class TestExact:
         "name, text, where",
         [
             ("one_column.csv", "label,prob\n0,0.5\n1\n", "CSV line 3"),
+            ("hash_label.csv", "label,prob\n#0,0.5\n1,0.5\n", "CSV line 2"),
+            ("after_blanks.csv", "label,prob\n0,0.5\n\n\n1,x\n", "CSV line 5"),
+            ("label_2_64.csv", f"label,prob\n{2**64},1.0\n", "CSV line 2"),
+            ("negative_label.csv", "label,prob\n0,0.5\n-1,0.5\n", "CSV line 3"),
+            ("float_label.csv", "label,prob\n1.0,1.0\n", "CSV line 2"),
+            ("underscore_label.csv", "label,prob\n1_0,1.0\n", "CSV line 2"),
+            ("underscore_prob.csv", "label,prob\n1,0.5\n0,0_5\n", "CSV line 3"),
+            ("minus_zero_label.csv", "label,prob\n-0,1.0\n", "CSV line 2"),
+            ("wide_char.csv", "label,prob\n\U000bfad6,1.0\n", "CSV line 2"),
             ("no_label.json", '[{"label": 0, "prob": 1.0}, {"prob": 0}]', "JSON row 1"),
             ("list_row.json", '[[0, 0.5], [1, 0.5]]', "JSON row 0"),
             ("object_prob.json", '[{"label": 1, "prob": {}}]', "must be numbers"),
@@ -126,6 +142,38 @@ class TestExact:
         path.write_text(text, encoding="utf-8")
         assert main(["exact", "--dist", str(path), "--eps", "0.1"]) == 2
         assert where in capsys.readouterr().err
+
+    def test_largest_label_is_read(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text(f"label,prob\n{2**64 - 1},1.0\n", encoding="utf-8")
+        assert main(["exact", "--dist", str(path), "--eps", "0.1"]) == 0
+        assert f"quantile_label={2**64 - 1}" in capsys.readouterr().out
+
+    def test_quoted_fields_are_read(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text('"label","prob"\n"3","0.25"\n4,"0.75"\n', encoding="utf-8")
+        assert main(["exact", "--dist", str(path), "--eps", "0.1"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["ess=2", "quantile_label=3"]
+
+    def test_header_only_file_exits_2_without_warning(self, tmp_path, capsys, recwarn):
+        path = tmp_path / "d.csv"
+        path.write_text("label,prob\n", encoding="utf-8")
+        assert main(["exact", "--dist", str(path), "--eps", "0.1"]) == 2
+        assert "at least one element" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+    def test_large_written_file_reads_back_bit_exact(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        # an odd multiplier is a bijection modulo 2**64: scattered, distinct labels
+        labels = rng.permutation(100_000).astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        dist = DiscreteDistribution(labels, rng.dirichlet(np.ones(100_000)))
+        path = tmp_path / "d.csv"
+        write_distribution(dist, path)
+        back = read_distribution(path)
+        assert np.array_equal(back.labels, dist.labels)
+        assert back.probs.view(np.uint64).tolist() == dist.probs.view(np.uint64).tolist()
+        assert main(["exact", "--dist", str(path), "--eps", "0.1"]) == 0
+        assert f"ess={exact_ess(dist, 0.1)}" in capsys.readouterr().out
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -183,6 +231,16 @@ class TestRun:
         parsed = json.loads(out.read_text())
         assert parsed["config"]["mode"] == "unicriterion"
         assert len(parsed["trials"]) == 3
+
+    def test_ignored_gamma_is_written_as_null(self, tmp_path):
+        # unicriterion ignores gamma, so an infinite one is accepted and
+        # must not reach the JSON report, which has no infinity
+        out = tmp_path / "r.json"
+        assert main(run_argv(out, mode="unicriterion", gamma="inf")) == 0
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert report["config"]["gamma"] is None
+        assert report["config"]["mode"] == "unicriterion"
 
     def test_missing_gamma_in_bicriteria_exits_2(self, tmp_path):
         code = main(

@@ -324,6 +324,24 @@ class TestFileFormats:
         with pytest.raises(OutOfRangeError):
             read_distribution(path)
 
+    def test_non_ascii_file_is_not_given_to_numpy(self, tmp_path, monkeypatch):
+        # numpy 2.4 may crash, or read label 785062, on this code point
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt was called")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        path = tmp_path / "wide.csv"
+        path.write_text("label,prob\n\U000bfad6,1.0\n", encoding="utf-8")
+        with pytest.raises(OutOfRangeError, match="CSV line 2"):
+            read_distribution(path)
+
+    def test_invalid_utf8_after_first_block_names_a_line(self, tmp_path):
+        path = tmp_path / "late.csv"
+        rows = b"".join(b"%d,0.0\n" % i for i in range(5000))
+        path.write_bytes(b"label,prob\n" + rows + b"9,\xff\n5000,1.0\n")
+        with pytest.raises(OutOfRangeError, match="CSV line"):
+            read_distribution(path)
+
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(OutOfRangeError):
             write_distribution(uniform(2), tmp_path / "dist.txt")

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import stat
+import threading
 
 import pytest
 
@@ -186,6 +188,52 @@ class TestRunExperiment:
         on_disk = json.loads(out.read_bytes())
         assert on_disk["summary"]["success_rate"] == report.success_rate
         assert len(on_disk["trials"]) == 3
+
+    @pytest.mark.parametrize("owner, name", [(harness, "emit_report"), (os, "replace")])
+    def test_failed_write_keeps_earlier_report(self, tmp_path, monkeypatch, owner, name):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"earlier report\n")
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(owner, name, fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(small_config(trials=2, out_path=str(out)))
+        assert out.read_bytes() == b"earlier report\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_replaced_report_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"earlier report\n")
+        out.chmod(0o640)
+        run_experiment(small_config(trials=2, out_path=str(out), format="json"))
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert len(json.loads(out.read_bytes())["trials"]) == 2
+
+    def test_symlinked_report_is_written_through(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_bytes(b"earlier report\n")
+        out = tmp_path / "report.json"
+        out.symlink_to(real)
+        run_experiment(small_config(trials=2, out_path=str(out), format="json"))
+        assert out.is_symlink()
+        assert len(json.loads(real.read_bytes())["trials"]) == 2
+        assert sorted(os.listdir(tmp_path)) == ["real.json", "report.json"]
+
+    def test_pipe_report_is_written_in_place(self, tmp_path):
+        # stands for /dev/null or /dev/stdout: a target that is not a
+        # regular file must be opened and written, never renamed over
+        out = tmp_path / "pipe"
+        os.mkfifo(out)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(out.read_bytes()))
+        reader.daemon = True
+        reader.start()
+        run_experiment(small_config(trials=2, out_path=str(out), format="json"))
+        reader.join(timeout=60)
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert len(json.loads(received[0])["trials"]) == 2
 
     def test_success_rate_is_exact_fraction(self):
         report = run_experiment(small_config(trials=16))

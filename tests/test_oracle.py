@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from ess_toolkit import (
+    AliasTable,
     DiscreteDistribution,
     DualOracle,
     OutOfRangeError,
@@ -11,7 +12,9 @@ from ess_toolkit import (
     sampler_table,
     validate,
 )
-from ess_toolkit.generators import GeneratorSpec, make_distribution
+from ess_toolkit.generators import GeneratorSpec, make_distribution, spec_string
+
+from conftest import random_simplex_distribution
 
 A, B = 0, 1
 
@@ -194,6 +197,60 @@ class TestSamplerTable:
         table = sampler_table(dist)
         assert table.size == 8
         assert table.element_indices.tolist() == list(range(8))
+
+
+def table_mass(table) -> np.ndarray:
+    """Mass the alias table gives each slot, times the slot count."""
+    given_away = np.bincount(table.alias, weights=1.0 - table.accept, minlength=table.size)
+    return table.accept + given_away
+
+
+def assert_table_encodes(dist) -> None:
+    """The alias table of ``dist`` draws each element with its probability."""
+    table = AliasTable(dist.probs, dist.order)
+    assert np.all((table.accept >= 0.0) & (table.accept <= 1.0))
+    want = dist.probs[dist.probs > 0.0] / table.total
+    assert np.allclose(table_mass(table) / table.size, want, rtol=1e-9, atol=0.0)
+
+
+class TestAliasTable:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec("zipf", n=10**6, s=1.0),
+            GeneratorSpec("zipf", n=10**6, s=2.0),
+            GeneratorSpec("geometric", n=10**5, rho=0.999),
+            GeneratorSpec("two_tier", n=10**6, h=1, heavy_mass=0.5),
+            GeneratorSpec("two_tier", n=10**6, h=1000, heavy_mass=0.5),
+            GeneratorSpec("uniform", n=1000),  # no small slot
+            GeneratorSpec("point_mass", n=1),
+            GeneratorSpec("uniform", n=8, zero_pad=100),
+        ],
+        ids=lambda spec: spec_string(spec),
+    )
+    def test_slot_masses_match_probabilities(self, spec):
+        assert_table_encodes(make_distribution(spec))
+
+    def test_random_simplex_masses(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            assert_table_encodes(random_simplex_distribution(rng, max_n=2000))
+
+    def test_deficit_meeting_excess_exactly(self):
+        # scaled weights 1.5, 0.5, 1.5, 0.5: the second small's deficit
+        # starts exactly where the first large's excess ends, so it still
+        # belongs to that large, which is then depleted into the second one
+        dist = DiscreteDistribution.from_probs([0.375, 0.125, 0.375, 0.125])
+        table = AliasTable(dist.probs, dist.order)
+        assert table_mass(table).tolist() == [1.5, 0.5, 1.5, 0.5]
+
+    def test_builds_are_bit_equal(self):
+        dist = make_distribution(GeneratorSpec("zipf", n=10**5, s=1.0))
+        first = AliasTable(dist.probs, dist.order)
+        second = AliasTable(dist.probs, dist.order)
+        for name in ("accept", "alias", "rank"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert first.total == second.total
 
 
 class TestDeriveSeed:
