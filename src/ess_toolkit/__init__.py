@@ -14,10 +14,7 @@ from .distribution import (
     exact_ess,
     exact_ess_bruteforce,
     exact_quantile,
-    precedes,
     read_distribution,
-    tv_distance,
-    validate,
     write_distribution,
 )
 from .errors import (
@@ -52,13 +49,12 @@ from .harness import (
     ExperimentReport,
     TrialRecord,
     band_endpoints,
-    check_band,
     emit_report,
     load_distribution,
     report_dict,
     run_experiment,
 )
-from .oracle import AliasTable, DualOracle, derive_seed, sampler_table
+from .oracle import DualOracle, derive_seed
 
 __version__ = "0.1.0"
 
@@ -69,7 +65,6 @@ __all__ = [
     "FAMILIES",
     "DiscreteDistribution",
     "DualOracle",
-    "AliasTable",
     "EstimatorParams",
     "EstimateResult",
     "GeneratorSpec",
@@ -83,16 +78,12 @@ __all__ = [
     "UnknownLabelError",
     "OutOfRangeError",
     "EmptySampleError",
-    "validate",
-    "precedes",
     "exact_quantile",
     "exact_ess",
     "exact_ess_bruteforce",
-    "tv_distance",
     "read_distribution",
     "write_distribution",
     "derive_seed",
-    "sampler_table",
     "sample_sizes",
     "empirical_quantile",
     "select_pivot",
@@ -103,7 +94,6 @@ __all__ = [
     "parse_spec",
     "spec_string",
     "band_endpoints",
-    "check_band",
     "load_distribution",
     "run_experiment",
     "emit_report",

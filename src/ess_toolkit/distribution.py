@@ -15,7 +15,7 @@ import json
 import math
 import operator
 import warnings
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -70,8 +70,9 @@ class DiscreteDistribution:
     finite probabilities, total mass 1 within ``MASS_TOLERANCE``) and builds
     the canonical rank: ``order`` is the permutation sorting elements by
     (probability, label) and ``cumulative`` holds prefix sums of probability
-    along it.  Instances are immutable afterwards and safe to share across
-    threads.
+    along it.  ``total`` is the exactly rounded sum of the probabilities
+    (``math.fsum``), the mass samplers normalize by.  Instances are
+    immutable afterwards and safe to share across threads.
 
     Elements with probability 0 are kept in the table -- they model padding
     of the universe with unreachable items -- but they never influence
@@ -83,9 +84,8 @@ class DiscreteDistribution:
         "probs",
         "order",
         "cumulative",
+        "total",
         "_support_size",
-        "_labels_are_arange",
-        "_index_map",
         "_derived",
         "__weakref__",
     )
@@ -122,11 +122,8 @@ class DiscreteDistribution:
         # label-sorted elements is the (probability, label) order
         self.order = by_label[np.argsort(prob_arr[by_label], kind="stable")]
         self.cumulative = np.cumsum(prob_arr[self.order])
+        self.total = total
         self._support_size = int(np.count_nonzero(prob_arr))
-        self._labels_are_arange = bool(
-            np.array_equal(label_arr, np.arange(label_arr.size, dtype=np.uint64))
-        )
-        self._index_map: dict[int, int] | None = None
         self._derived: dict[str, object] = {}
 
         for arr in (self.labels, self.probs, self.order, self.cumulative):
@@ -142,11 +139,6 @@ class DiscreteDistribution:
             raise OutOfRangeError("distribution must contain at least one element")
         labels, probs = zip(*items)
         return cls(labels, probs)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, float]) -> "DiscreteDistribution":
-        """Build from a label -> prob mapping (insertion order preserved)."""
-        return cls.from_pairs(mapping.items())
 
     @classmethod
     def from_probs(cls, probs) -> "DiscreteDistribution":
@@ -166,32 +158,17 @@ class DiscreteDistribution:
         """Number of elements with positive probability."""
         return self._support_size
 
-    def index_of(self, label) -> int:
-        """Table position of ``label``; raises UnknownLabelError if absent."""
-        value = operator.index(label)
-        if self._labels_are_arange:
-            if 0 <= value < self.size:
-                return value
-            raise UnknownLabelError(f"label {value} not in distribution")
-        if self._index_map is None:
-            self._index_map = {
-                int(lab): i for i, lab in enumerate(self.labels.tolist())
-            }
-        try:
-            return self._index_map[value]
-        except KeyError:
-            raise UnknownLabelError(f"label {value} not in distribution") from None
-
     def prob_of(self, label) -> float:
-        """Exact stored probability of ``label``."""
-        return float(self.probs[self.index_of(label)])
+        """Exact stored probability of ``label``, found by a scan of the labels.
 
-    def labels_at(self, indices: np.ndarray) -> np.ndarray:
-        """Labels for an array of table positions (vectorized)."""
-        if self._labels_are_arange:
-            # labels equal positions; reinterpret the int64 indices in place
-            return indices.view(np.uint64)
-        return self.labels[indices]
+        Raises UnknownLabelError if ``label`` is not in the distribution.
+        """
+        value = operator.index(label)
+        if 0 <= value <= _UINT64_MAX:
+            found = np.flatnonzero(self.labels == np.uint64(value))
+            if found.size:
+                return float(self.probs[found[0]])
+        raise UnknownLabelError(f"label {value} not in distribution")
 
     def to_pairs(self) -> list[tuple[int, float]]:
         """Element table as a list of (label, prob) pairs."""
@@ -211,35 +188,11 @@ class DiscreteDistribution:
         )
 
 
-def validate(elements) -> DiscreteDistribution:
-    """Build a validated distribution from pairs, a mapping, or pass one through.
-
-    Raises NegativeProbabilityError, MassNotOneError, or DuplicateLabelError
-    when the input violates the corresponding invariant.
-    """
-    if isinstance(elements, DiscreteDistribution):
-        return elements
-    if isinstance(elements, Mapping):
-        return DiscreteDistribution.from_mapping(elements)
-    return DiscreteDistribution.from_pairs(elements)
-
-
 def _check_eps(eps: float) -> float:
     eps = float(eps)
     if not 0.0 <= eps < MAX_EPS:
         raise OutOfRangeError(f"eps must lie in [0, {MAX_EPS}), got {eps!r}")
     return eps
-
-
-def precedes(dist: DiscreteDistribution, a, b) -> bool:
-    """True iff element ``a`` comes strictly before ``b`` in canonical order.
-
-    The order compares (probability, label): smaller probability first,
-    exact float ties broken by the label order.
-    """
-    key_a = (dist.prob_of(a), operator.index(a))
-    key_b = (dist.prob_of(b), operator.index(b))
-    return key_a < key_b
 
 
 def _quantile_position(dist: DiscreteDistribution, eps: float) -> int:
@@ -288,21 +241,6 @@ def exact_ess_bruteforce(dist: DiscreteDistribution, eps: float) -> int:
     return kept
 
 
-def tv_distance(p1: DiscreteDistribution, p2: DiscreteDistribution) -> float:
-    """Total variation distance: half the L1 distance between the pmfs.
-
-    Labels are unioned; a label absent from one distribution counts as
-    probability 0 there.
-    """
-    first = dict(zip(p1.labels.tolist(), p1.probs.tolist()))
-    second = dict(zip(p2.labels.tolist(), p2.probs.tolist()))
-    diffs = [
-        abs(first.get(label, 0.0) - second.get(label, 0.0))
-        for label in first.keys() | second.keys()
-    ]
-    return 0.5 * math.fsum(diffs)
-
-
 # -- file formats ----------------------------------------------------------
 
 _CSV_HEADER = ["label", "prob"]
@@ -343,7 +281,8 @@ def read_distribution(path, fmt: str | None = None) -> DiscreteDistribution:
     """Read and validate a distribution file written by :func:`write_distribution`."""
     fmt = fmt or _infer_format(path)
     if fmt == "csv":
-        with open(path, "r", encoding="utf-8") as fh:
+        # a bad byte past the header is left to the row check below
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             header = next(csv.reader(fh), None)
         if header != _CSV_HEADER:
             raise OutOfRangeError(
@@ -398,9 +337,11 @@ def _first_bad_csv_row(path) -> str | None:
     """Name the first CSV row, by 1-based file line, that is not label,prob.
 
     Runs only after the array parse failed: numpy's row numbers skip blank
-    lines, so the file is read again row by row to find the line.
+    lines, so the file is read again row by row to find the line.  Invalid
+    UTF-8 bytes are read as lone surrogates, which fail the ASCII check of
+    the row that holds them.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         try:
@@ -413,7 +354,7 @@ def _first_bad_csv_row(path) -> str | None:
                 if "-" in label or not 0 <= int(label) <= _UINT64_MAX:
                     raise ValueError(f"label {label} is not an unsigned 64-bit integer")
                 float(prob)
-        except ValueError as exc:  # UnicodeDecodeError included
+        except ValueError as exc:
             return f"CSV line {reader.line_num}: expected label,prob ({exc})"
     return None
 

@@ -170,19 +170,6 @@ def _within_band(estimate: float, low: float, high: float, mode: str) -> bool:
     return (low - tol) <= estimate <= (high + tol)
 
 
-def check_band(
-    estimate: float,
-    dist: DiscreteDistribution,
-    eps: float,
-    beta: float,
-    gamma: float | None,
-    mode: str = "bicriteria",
-) -> bool:
-    """Is ``estimate`` inside the exact acceptance band for these parameters?"""
-    low, high, _, _ = band_endpoints(dist, eps, beta, gamma, mode)
-    return _within_band(estimate, low, high, mode)
-
-
 def _run_trial(
     dist: DiscreteDistribution,
     config: ExperimentConfig,

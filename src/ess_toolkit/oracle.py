@@ -1,10 +1,10 @@
 """Query-model access to a distribution: sampling and probability lookups.
 
-A :class:`DualOracle` answers three kinds of queries -- draw a sample, look
-up the probability of a label, or draw a sample together with its own
-probability -- while counting every query.  Draws go through an alias table
-over the positive-probability elements, so a single draw is O(1) and batch
-draws are plain numpy pipelines.
+A :class:`DualOracle` answers batches of queries -- draw samples, or draw
+samples together with their own probabilities -- and probability lookups
+of single labels, while counting every query.  Draws go through an alias
+table over the positive-probability elements and are plain numpy
+pipelines.
 
 Each draw consumes exactly one uniform double from the generator; the
 sample stream is therefore a function of (seed, number of draws) alone,
@@ -30,7 +30,6 @@ stands for:
 from __future__ import annotations
 
 import bisect
-import math
 import operator
 
 import numpy as np
@@ -85,13 +84,11 @@ def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class AliasTable:
-    """Alias structure over the positive-probability elements of a pmf.
+    """Alias structure over the positive-probability elements of a distribution.
 
-    ``order`` is the canonical order of the pmf's elements; the table keeps
-    its inverse, ``rank`` (the canonical rank of each element), so drawn
-    elements map to ranks with one gather.  ``total`` is the exact mass the
-    table normalizes by: an element is drawn with probability
-    ``probs[i] / total``.
+    The table keeps the inverse of ``dist.order``, ``rank`` (the canonical
+    rank of each element), so drawn elements map to ranks with one gather.
+    An element is drawn with probability ``dist.probs[i] / dist.total``.
 
     The build is Vose's sweep (Vose, IEEE TSE 1991) written as prefix sums.
     Slot weights are scaled to mean 1; slots below 1 are *small*, the rest
@@ -101,18 +98,18 @@ class AliasTable:
     ``1 - overshoot`` and aliases the next large; the last large keeps 1.
     """
 
-    __slots__ = ("size", "total", "accept", "alias", "element_indices", "rank")
+    __slots__ = ("size", "accept", "alias", "element_indices", "rank")
 
-    def __init__(self, probs: np.ndarray, order: np.ndarray) -> None:
+    def __init__(self, dist: DiscreteDistribution) -> None:
+        probs = dist.probs
         positive = np.flatnonzero(probs > 0.0)
         if positive.size == 0:
             raise OutOfRangeError("cannot sample: no positive-probability element")
-        pos_probs = probs[positive]
         size = int(positive.size)
-        # normalize exactly so the table encodes a true distribution even
-        # when the stored mass is off by the validator tolerance
-        total = math.fsum(pos_probs.tolist())
-        scaled = pos_probs * (size / total)
+        # normalize by the exact mass so the table encodes a true
+        # distribution even when the stored mass is off by the validator
+        # tolerance
+        scaled = probs[positive] * (size / dist.total)
 
         accept = np.ones(size)
         alias = np.arange(size, dtype=np.int64)
@@ -142,14 +139,13 @@ class AliasTable:
             alias[large[depleted]] = large[depleted + 1]
 
         self.size = size
-        self.total = total
         self.accept = accept
         self.alias = alias
         # identity mapping is skipped when every element is positive
         self.element_indices = None if size == probs.size else positive.astype(np.int64)
         rank_dtype = np.int32 if probs.size <= np.iinfo(np.int32).max else np.int64
         self.rank = np.empty(probs.size, dtype=rank_dtype)
-        self.rank[order] = np.arange(probs.size, dtype=rank_dtype)
+        self.rank[dist.order] = np.arange(probs.size, dtype=rank_dtype)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` element-table indices, one uniform double each."""
@@ -166,7 +162,7 @@ class AliasTable:
 
 def sampler_table(dist: DiscreteDistribution) -> AliasTable:
     """Alias table for ``dist``, built once and cached on the distribution."""
-    return dist._cached("alias_table", lambda: AliasTable(dist.probs, dist.order))
+    return dist._cached("alias_table", lambda: AliasTable(dist))
 
 
 class DualOracle:
@@ -190,22 +186,11 @@ class DualOracle:
         self._table = sampler_table(dist)
         self._rng = np.random.Generator(np.random.SFC64(seed))
 
-    # -- single queries -------------------------------------------------
-
-    def samp(self) -> int:
-        """Draw one label; never returns a zero-probability label."""
-        return int(self.samp_many(1)[0])
-
     def eval(self, label) -> float:
         """Exact probability of ``label``; raises UnknownLabelError if absent."""
         p = self.dist.prob_of(label)
         self.eval_count += 1
         return p
-
-    def sample_with_prob(self) -> tuple[int, float]:
-        """Draw one label together with its probability (one of each query)."""
-        label = self.samp()
-        return label, self.eval(label)
 
     def query_counts(self) -> tuple[int, int]:
         """Current (samp_count, eval_count) without modifying them."""
@@ -223,7 +208,7 @@ class DualOracle:
         """Draw ``count`` labels as a uint64 array; counts ``count`` SAMP queries."""
         idx = self._draw_indices(count)
         self.samp_count += int(count)
-        return self.dist.labels_at(idx)
+        return self.dist.labels[idx]
 
     def sample_with_prob_many(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``count`` (label, probability) pairs as parallel arrays.
@@ -234,7 +219,7 @@ class DualOracle:
         idx = self._draw_indices(count)
         self.samp_count += int(count)
         self.eval_count += int(count)
-        return self.dist.labels_at(idx), self.dist.probs[idx]
+        return self.dist.labels[idx], self.dist.probs[idx]
 
     # -- the estimator's two statistics -----------------------------------
 
@@ -298,7 +283,7 @@ class DualOracle:
         run_starts = np.flatnonzero(run_start)
         values = probs[run_starts]
         run_sizes = np.diff(np.append(run_starts, probs.size))
-        cells = run_sizes * values / self._table.total
+        cells = run_sizes * values / dist.total
         # numpy draws every cell but the last as a binomial of the mass still
         # unassigned and gives the last one the remaining draws; putting the
         # rest (possibly 0) first leaves a run of positive mass last, so float

@@ -30,13 +30,12 @@ from ess_toolkit import (
     inverse_prob_terms,
     make_distribution,
     parse_spec,
-    precedes,
     report_dict,
     run_experiment,
     select_pivot,
 )
 
-from conftest import random_simplex_distribution
+from conftest import precedes, random_simplex_distribution
 
 JOBS = max(1, min(4, os.cpu_count() or 1))
 

@@ -1,19 +1,22 @@
 """The package interface that the benchmark under ``bench/`` relies on.
 
 ``bench/spans.py`` wraps package functions by name and ``bench/run.py``
-drives ``run_experiment`` and the ``run`` command serially.  A rename here
-would otherwise only show when the benchmark runs.
+imports package names and drives ``run_experiment`` and the ``run`` command
+serially.  A rename here would otherwise only show when the benchmark runs.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import types
 from pathlib import Path
 
 from ess_toolkit import harness
 from ess_toolkit.cli import build_parser
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def load_spans():
@@ -29,6 +32,48 @@ def test_every_traced_target_resolves():
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{path}"
+
+
+def bench_run_imports() -> dict[str, object]:
+    """Every package name ``bench/run.py`` uses, resolved: the names it
+    imports from ``ess_toolkit`` and the attributes it reads off imported
+    package modules (``harness.band_endpoints``)."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    resolved = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ess_toolkit"):
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(owner, alias.name):  # a submodule not yet loaded
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                resolved[alias.asname or alias.name] = getattr(owner, alias.name)
+    modules = {k: v for k, v in resolved.items() if isinstance(v, types.ModuleType)}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            resolved[node.attr] = getattr(modules[node.value.id], node.attr)
+    return resolved
+
+
+def test_every_run_import_resolves():
+    names = bench_run_imports()
+    for name in (
+        "sampler_table",
+        "EstimatorParams",
+        "sample_sizes",
+        "SLACK_CAP",
+        "MAX_EPS",
+        "exact_ess_bruteforce",
+        "load_distribution",
+        "band_endpoints",
+        "run_experiment",
+        "ExperimentConfig",
+        "main",
+    ):
+        assert name in names, name
 
 
 def test_run_experiment_accepts_jobs_one():

@@ -149,6 +149,19 @@ class TestExact:
         assert main(["exact", "--dist", str(path), "--eps", "0.1"]) == 0
         assert f"quantile_label={2**64 - 1}" in capsys.readouterr().out
 
+    def test_scattered_labels_print_the_quantile_probability(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        rows = [(2**64 - 1, 0.4), (17, 0.1), (2**40, 0.2), (2**63 + 9, 0.3)]
+        path.write_text(
+            "label,prob\n" + "".join(f"{lab},{p}\n" for lab, p in rows), encoding="utf-8"
+        )
+        assert main(["exact", "--dist", str(path), "--eps", "0.15"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "ess=3",
+            f"quantile_label={2**40}",
+            f"quantile_prob={0.2:.17g}",
+        ]
+
     def test_quoted_fields_are_read(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         path.write_text('"label","prob"\n"3","0.25"\n4,"0.75"\n', encoding="utf-8")

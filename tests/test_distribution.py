@@ -15,15 +15,12 @@ from ess_toolkit import (
     exact_ess,
     exact_ess_bruteforce,
     exact_quantile,
-    precedes,
     read_distribution,
-    tv_distance,
-    validate,
     write_distribution,
 )
 from ess_toolkit.generators import GeneratorSpec, make_distribution
 
-from conftest import random_simplex_distribution
+from conftest import precedes, random_simplex_distribution, validate
 
 A, B = 0, 1  # two-element label shorthand
 
@@ -80,6 +77,25 @@ class TestValidate:
             DiscreteDistribution([2**64, 0], [0.5, 0.5])
         dist = DiscreteDistribution([2**64 - 1, 0], [0.25, 0.75])
         assert dist.prob_of(2**64 - 1) == 0.25
+
+    def test_total_is_the_exact_sum(self):
+        dist = make_distribution(GeneratorSpec("zipf", n=1000, s=1.0, zero_pad=50))
+        assert dist.total == math.fsum(dist.probs.tolist())
+        assert dist.total == math.fsum(dist.probs[dist.probs > 0.0].tolist())
+
+
+class TestProbOf:
+    SCATTERED = {2**63 + 9: 0.5, 17: 0.25, 2**40: 0.25}
+
+    def test_labels_outside_64_bits_or_absent(self):
+        dist = validate(self.SCATTERED)
+        for label in (-1, 2**64, 0, 18, 2**63 + 8):
+            with pytest.raises(UnknownLabelError):
+                dist.prob_of(label)
+
+    def test_scattered_labels(self):
+        dist = validate(self.SCATTERED)
+        assert [dist.prob_of(label) for label in self.SCATTERED] == [0.5, 0.25, 0.25]
 
 
 class TestPrecedes:
@@ -221,34 +237,6 @@ class TestZeroPadding:
                 assert exact_ess(padded, eps) == exact_ess(base, eps)
 
 
-class TestTvDistance:
-    def test_identity(self):
-        dist = uniform(5)
-        assert tv_distance(dist, dist) == 0.0
-
-    def test_disjoint_supports(self):
-        assert tv_distance(validate({A: 1.0}), validate({B: 1.0})) == 1.0
-
-    def test_two_point(self):
-        p1 = validate({A: 0.7, B: 0.3})
-        p2 = validate({A: 0.5, B: 0.5})
-        assert tv_distance(p1, p2) == pytest.approx(0.2, abs=1e-15)
-
-    def test_metric_axioms(self):
-        rng = np.random.default_rng(13)
-        dists = [random_simplex_distribution(rng, max_n=8) for _ in range(6)]
-        for p in dists:
-            assert tv_distance(p, p) == 0.0
-            for q in dists:
-                assert 0.0 <= tv_distance(p, q) <= 1.0
-                assert tv_distance(p, q) == tv_distance(q, p)
-                for r in dists:
-                    assert (
-                        tv_distance(p, r)
-                        <= tv_distance(p, q) + tv_distance(q, r) + 1e-12
-                    )
-
-
 @st.composite
 def simplex_dists(draw):
     weights = draw(
@@ -339,7 +327,13 @@ class TestFileFormats:
         path = tmp_path / "late.csv"
         rows = b"".join(b"%d,0.0\n" % i for i in range(5000))
         path.write_bytes(b"label,prob\n" + rows + b"9,\xff\n5000,1.0\n")
-        with pytest.raises(OutOfRangeError, match="CSV line"):
+        with pytest.raises(OutOfRangeError, match="CSV line 5002:"):
+            read_distribution(path)
+
+    def test_invalid_utf8_in_first_block_names_its_line(self, tmp_path):
+        path = tmp_path / "early.csv"
+        path.write_bytes(b"label,prob\n0,0.5\n1,\xff\n")
+        with pytest.raises(OutOfRangeError, match="CSV line 3:"):
             read_distribution(path)
 
     def test_unknown_extension(self, tmp_path):

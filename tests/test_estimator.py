@@ -16,12 +16,12 @@ from ess_toolkit import (
     exact_ess,
     exact_quantile,
     inverse_prob_terms,
-    precedes,
     sample_sizes,
     select_pivot,
-    validate,
 )
 from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
+
+from conftest import precedes, validate
 
 A, B = 0, 1
 
@@ -273,17 +273,11 @@ class RecordingOracle(DualOracle):
         self.calls.append((name, count, (after[0] - before[0], after[1] - before[1])))
         return result
 
-    def samp(self):
-        return self._record("samp", 1, super().samp)
-
     def samp_many(self, count):
         return self._record("samp_many", count, super().samp_many, count)
 
     def eval(self, label):
         return self._record("eval", 1, super().eval, label)
-
-    def sample_with_prob(self):
-        return self._record("sample_with_prob", 1, super().sample_with_prob)
 
     def sample_with_prob_many(self, count):
         return self._record(

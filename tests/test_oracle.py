@@ -3,18 +3,16 @@ import pytest
 from scipy import stats
 
 from ess_toolkit import (
-    AliasTable,
     DiscreteDistribution,
     DualOracle,
     OutOfRangeError,
     UnknownLabelError,
     derive_seed,
-    sampler_table,
-    validate,
 )
 from ess_toolkit.generators import GeneratorSpec, make_distribution, spec_string
+from ess_toolkit.oracle import AliasTable, sampler_table
 
-from conftest import random_simplex_distribution
+from conftest import random_simplex_distribution, validate
 
 A, B = 0, 1
 
@@ -26,7 +24,7 @@ def point_mass() -> DiscreteDistribution:
 class TestSamp:
     def test_point_mass_always_same(self):
         oracle = DualOracle(point_mass(), seed=3)
-        assert all(oracle.samp() == A for _ in range(100))
+        assert oracle.samp_many(100).tolist() == [A] * 100
 
     def test_fair_coin_frequency(self):
         # 10^6 draws: |freq - 0.5| > 0.01 is a 20-sigma event for Bin(10^6, 1/2)
@@ -64,27 +62,34 @@ class TestEval:
         with pytest.raises(UnknownLabelError):
             oracle.eval(42)
 
+    def test_counts_one_eval_query(self):
+        oracle = DualOracle(validate({2**64 - 1: 0.5, 17: 0.25, 2**40: 0.25}), seed=0)
+        assert oracle.eval(2**64 - 1) == 0.5
+        assert oracle.query_counts() == (0, 1)
+
 
 class TestSampleWithProb:
     def test_point_mass(self):
         oracle = DualOracle(point_mass(), seed=4)
-        assert oracle.sample_with_prob() == (A, 1.0)
+        labels, probs = oracle.sample_with_prob_many(1)
+        assert (labels.tolist(), probs.tolist()) == ([A], [1.0])
 
     def test_prob_matches_eval(self):
         dist = make_distribution(GeneratorSpec("zipf", n=30, s=1.2))
         oracle = DualOracle(dist, seed=21)
-        for _ in range(200):
-            label, prob = oracle.sample_with_prob()
+        labels, probs = oracle.sample_with_prob_many(200)
+        for label, prob in zip(labels.tolist(), probs.tolist()):
             assert prob == dist.prob_of(label)
 
     def test_same_stream_as_composed_calls(self):
         dist = validate({A: 0.5, B: 0.5})
         composed = DualOracle(dist, seed=77)
         fused = DualOracle(dist, seed=77)
-        for _ in range(50):
-            label = composed.samp()
-            expected = (label, composed.eval(label))
-            assert fused.sample_with_prob() == expected
+        labels = composed.samp_many(50)
+        evals = [composed.eval(label) for label in labels.tolist()]
+        fused_labels, fused_probs = fused.sample_with_prob_many(50)
+        assert fused_labels.tolist() == labels.tolist()
+        assert fused_probs.tolist() == evals
         assert fused.query_counts() == composed.query_counts()
 
 
@@ -95,7 +100,7 @@ class TestQueryCounts:
     def test_mixed_calls(self):
         oracle = DualOracle(validate({A: 0.4, B: 0.6}), seed=1)
         for _ in range(3):
-            oracle.samp()
+            oracle.samp_many(1)
         for _ in range(2):
             oracle.eval(A)
         assert oracle.query_counts() == (3, 2)
@@ -103,7 +108,7 @@ class TestQueryCounts:
     def test_sample_with_prob_counts_both(self):
         oracle = DualOracle(validate({A: 0.4, B: 0.6}), seed=1)
         for _ in range(7):
-            oracle.sample_with_prob()
+            oracle.sample_with_prob_many(1)
         assert oracle.query_counts() == (7, 7)
 
     def test_batch_counts(self):
@@ -142,7 +147,7 @@ class TestDeterminism:
         dist = validate({A: 0.25, B: 0.75})
         batch = DualOracle(dist, seed=8).samp_many(64)
         loop = DualOracle(dist, seed=8)
-        assert batch.tolist() == [loop.samp() for _ in range(64)]
+        assert batch.tolist() == [int(loop.samp_many(1)[0]) for _ in range(64)]
 
     def test_different_seeds_differ(self):
         dist = make_distribution(GeneratorSpec("uniform", n=1000))
@@ -207,9 +212,9 @@ def table_mass(table) -> np.ndarray:
 
 def assert_table_encodes(dist) -> None:
     """The alias table of ``dist`` draws each element with its probability."""
-    table = AliasTable(dist.probs, dist.order)
+    table = AliasTable(dist)
     assert np.all((table.accept >= 0.0) & (table.accept <= 1.0))
-    want = dist.probs[dist.probs > 0.0] / table.total
+    want = dist.probs[dist.probs > 0.0] / dist.total
     assert np.allclose(table_mass(table) / table.size, want, rtol=1e-9, atol=0.0)
 
 
@@ -241,16 +246,15 @@ class TestAliasTable:
         # starts exactly where the first large's excess ends, so it still
         # belongs to that large, which is then depleted into the second one
         dist = DiscreteDistribution.from_probs([0.375, 0.125, 0.375, 0.125])
-        table = AliasTable(dist.probs, dist.order)
+        table = AliasTable(dist)
         assert table_mass(table).tolist() == [1.5, 0.5, 1.5, 0.5]
 
     def test_builds_are_bit_equal(self):
         dist = make_distribution(GeneratorSpec("zipf", n=10**5, s=1.0))
-        first = AliasTable(dist.probs, dist.order)
-        second = AliasTable(dist.probs, dist.order)
+        first = AliasTable(dist)
+        second = AliasTable(dist)
         for name in ("accept", "alias", "rank"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
-        assert first.total == second.total
 
 
 class TestDeriveSeed:
