@@ -3,7 +3,8 @@
 Subcommands: ``run`` executes a seeded experiment and writes a report,
 ``exact`` prints ground-truth values for a distribution, ``gen`` writes a
 generated distribution to a file.  Exit codes: 0 on success, 2 on
-validation errors, 1 on I/O errors and on a worker process that died.
+validation errors, 1 on I/O errors, on running out of memory and on a
+worker process that died.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from concurrent.futures import BrokenExecutor
 from .distribution import exact_ess, exact_quantile, write_distribution
 from .errors import EssToolkitError
 from .generators import make_distribution, parse_spec
-from .harness import ExperimentConfig, load_distribution, run_experiment
+from .harness import FORMATS, MODES, ExperimentConfig, load_distribution, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,11 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--beta", type=float, required=True)
     run.add_argument("--gamma", type=float, default=None,
                      help="multiplicative slack (bicriteria mode only)")
-    run.add_argument("--mode", choices=("bicriteria", "unicriterion"), required=True)
+    run.add_argument("--mode", choices=MODES, required=True)
     run.add_argument("--trials", type=int, required=True)
     run.add_argument("--seed", type=int, required=True, help="64-bit master seed")
     run.add_argument("--out", required=True, help="report output path")
-    run.add_argument("--format", choices=("csv", "json"), required=True)
+    run.add_argument("--format", choices=FORMATS, required=True)
     run.add_argument("--jobs", type=int, default=1,
                      help="worker processes for parallel trials (default 1)")
     run.set_defaults(func=_cmd_run)
@@ -103,6 +104,10 @@ def main(argv=None) -> int:
         return 2
     except (OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the allocation; Python's own is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -2,7 +2,7 @@
 
 The runner owns the only piece of full-distribution knowledge in an
 experiment: it computes the exact acceptance band once, then hands each
-trial a fresh oracle seeded from (master_seed, trial_index).  Trials are
+trial a fresh oracle seeded from (master_seed, trial).  Trials are
 independent, so they can run serially or in a process pool with identical
 results; records are always assembled in trial order.
 """
@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import operator
 import os
 import stat
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from .distribution import (
     MAX_EPS,
     DiscreteDistribution,
@@ -39,10 +40,9 @@ FORMATS = ("csv", "json")
 # relative tolerance applied at band endpoints to absorb float error
 BAND_RELATIVE_TOLERANCE = 1e-12
 
-_CSV_HEADER = (
-    "trial,seed,estimate,raw_mean,band_low,band_high,success,"
-    "samp_queries,eval_queries"
-)
+# per-trial wall-clock fields: the only nondeterministic ones, so the CSV
+# leaves them out
+_TIMING_FIELDS = frozenset({"wall_time_ns"})
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class ExperimentConfig:
     mode: str
     trials: int
     master_seed: int
-    out_path: str | None = None
+    out_path: str | os.PathLike | None = None
     format: str = "json"
 
     def __post_init__(self) -> None:
@@ -87,9 +87,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One estimator call and its verdict against the exact band."""
+    """One estimator call and its verdict against the exact band.
 
-    trial_index: int
+    The field names and their order are the report's per-trial keys.
+    """
+
+    trial: int
     seed: int
     estimate: float
     raw_mean: float
@@ -103,7 +106,10 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregated outcome of an experiment plus all per-trial records."""
+    """Aggregated outcome of an experiment plus all per-trial records.
+
+    Every field between ``config`` and ``trials`` is a report summary key.
+    """
 
     config: ExperimentConfig
     success_rate: float
@@ -183,7 +189,7 @@ def _run_trial(
     result = estimate_ess(oracle, config.params)
     elapsed = time.perf_counter_ns() - start
     return TrialRecord(
-        trial_index=index,
+        trial=index,
         seed=seed,
         estimate=result.estimate,
         raw_mean=result.raw_mean,
@@ -215,7 +221,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
 
     ``jobs`` > 1 runs trials on ``min(jobs, trials, cpu_count)`` worker
     processes; a worker that dies raises ``BrokenProcessPool``.  Seeds come
-    from (master_seed, trial_index) alone, so serial and parallel execution
+    from (master_seed, trial) alone, so serial and parallel execution
     produce identical records apart from wall-clock timings.
     """
     if jobs < 1:
@@ -303,103 +309,60 @@ def _write_report(report: ExperimentReport, path) -> None:
 # -- report serialization ---------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits round-trip any double exactly
-    return format(float(value), ".17g")
-
-
-def _json_text(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_text(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return (
-            "{"
-            + ",".join(f"{json.dumps(k)}:{_json_text(v)}" for k, v in value.items())
-            + "}"
-        )
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _field_dict(record) -> dict:
+    # not dataclasses.asdict, which deep-copies every field (a config's
+    # dist_source may be a whole distribution)
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
+    out = _field_dict(config)
     source = config.dist_source
-    if isinstance(source, GeneratorSpec):
-        source = spec_string(source)
-    return {
-        "dist_source": str(source),
-        "eps": config.eps,
-        "beta": config.beta,
+    out["dist_source"] = (
+        spec_string(source) if isinstance(source, GeneratorSpec) else str(source)
+    )
+    if config.mode != "bicriteria":
         # unicriterion ignores gamma, which may then be any float, inf included
-        "gamma": config.gamma if config.mode == "bicriteria" else None,
-        "mode": config.mode,
-        "trials": config.trials,
-        "master_seed": config.master_seed,
-        "out_path": config.out_path,
-        "format": config.format,
-    }
-
-
-def _trial_dict(record: TrialRecord) -> dict:
-    return {
-        "trial": record.trial_index,
-        "seed": record.seed,
-        "estimate": record.estimate,
-        "raw_mean": record.raw_mean,
-        "band_low": record.band_low,
-        "band_high": record.band_high,
-        "success": record.success,
-        "samp_queries": record.samp_queries,
-        "eval_queries": record.eval_queries,
-        "wall_time_ns": record.wall_time_ns,
-    }
+        out["gamma"] = None
+    if config.out_path is not None:
+        out["out_path"] = os.fspath(config.out_path)
+    return out
 
 
 def report_dict(report: ExperimentReport) -> dict:
-    """Report as plain nested dicts (stable field order)."""
+    """Report as plain nested dicts, keyed and ordered by the record fields."""
+    summary = _field_dict(report)
+    del summary["config"], summary["trials"]
     return {
         "config": _config_dict(report.config),
-        "summary": {
-            "success_rate": report.success_rate,
-            "estimate_mean": report.estimate_mean,
-            "estimate_min": report.estimate_min,
-            "estimate_max": report.estimate_max,
-            "exact_ess_eps": report.exact_ess_eps,
-            "exact_ess_relaxed": report.exact_ess_relaxed,
-            "band_low": report.band_low,
-            "band_high": report.band_high,
-            "total_samp_queries": report.total_samp_queries,
-            "total_eval_queries": report.total_eval_queries,
-        },
-        "trials": [_trial_dict(r) for r in report.trials],
+        "summary": summary,
+        "trials": [_field_dict(r) for r in report.trials],
     }
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
 
 
 def emit_report(report: ExperimentReport, format: str = "json") -> bytes:
     """Serialize a report.
 
-    CSV holds the per-trial table only (header ``trial,seed,...``, no
-    timing column); JSON holds config, summary, and trials.  Floats are
-    rendered with 17 significant digits so parsing reproduces them exactly.
+    CSV holds the per-trial table only: a header of the
+    :class:`TrialRecord` field names less the wall-clock timings, and one
+    row per trial.  JSON holds config, summary and trials.  Floats are
+    written in Python's shortest round-trip form (``repr``), so parsing
+    reproduces them exactly; a non-finite float in a JSON report raises
+    ``ValueError``, since JSON has no infinity.
     """
     if format == "csv":
-        lines = [_CSV_HEADER]
-        for r in report.trials:
-            lines.append(
-                f"{r.trial_index},{r.seed},{_fmt(r.estimate)},{_fmt(r.raw_mean)},"
-                f"{_fmt(r.band_low)},{_fmt(r.band_high)},"
-                f"{'true' if r.success else 'false'},"
-                f"{r.samp_queries},{r.eval_queries}"
-            )
+        names = [f.name for f in fields(TrialRecord) if f.name not in _TIMING_FIELDS]
+        cells = operator.attrgetter(*names)
+        lines = [",".join(names)]
+        lines += [",".join(map(_csv_cell, cells(r))) for r in report.trials]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "json":
-        return (_json_text(report_dict(report)) + "\n").encode("utf-8")
+        text = json.dumps(report_dict(report), separators=(",", ":"), allow_nan=False)
+        return (text + "\n").encode("utf-8")
     raise OutOfRangeError(f"format must be one of {FORMATS}, got {format!r}")

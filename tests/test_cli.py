@@ -96,6 +96,25 @@ class TestGen:
         out = tmp_path / "missing_dir" / "dist.csv"
         assert main(["gen", "--spec", "uniform:n=4", "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize(
+        "message, shown",
+        [
+            ("Unable to allocate 72.8 TiB", "Unable to allocate 72.8 TiB"),
+            ("", "out of memory"),
+        ],
+    )
+    def test_memory_error_exits_1(self, tmp_path, monkeypatch, capsys, message, shown):
+        # stands for numpy's _ArrayMemoryError on a huge n; nothing is allocated
+        def fail(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("ess_toolkit.cli.make_distribution", fail)
+        out = tmp_path / "dist.csv"
+        huge = "uniform:n=10000000000000"
+        assert main(["gen", "--spec", huge, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        assert not out.exists()
+
 
 class TestExact:
     def test_prints_ess_and_quantile(self, capsys):
@@ -133,6 +152,28 @@ class TestExact:
             ("no_label.json", '[{"label": 0, "prob": 1.0}, {"prob": 0}]', "JSON row 1"),
             ("list_row.json", '[[0, 0.5], [1, 0.5]]', "JSON row 0"),
             ("object_prob.json", '[{"label": 1, "prob": {}}]', "must be numbers"),
+            (
+                "bool_label.json",
+                '[{"label": true, "prob": 0.5}, {"label": 2, "prob": 0.5}]',
+                "JSON row 0",
+            ),
+            (
+                "bool_prob.json",
+                '[{"label": 0, "prob": 0.0}, {"label": 1, "prob": true}]',
+                "JSON row 1",
+            ),
+            pytest.param(
+                "huge_field.csv",
+                'label,prob\n0,0.5\n"' + "1" * 200_000 + '",0.5\n',
+                "CSV line 3",
+                id="huge_field.csv",
+            ),
+            pytest.param(
+                "open_quote.csv",
+                '"label,prob\n' + "0,0.5\n" * 30_000,
+                "expected CSV header",
+                id="open_quote.csv",
+            ),
         ],
     )
     def test_malformed_file_exits_2_naming_the_row(

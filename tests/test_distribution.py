@@ -330,6 +330,13 @@ class TestFileFormats:
         with pytest.raises(OutOfRangeError, match="CSV line 5002:"):
             read_distribution(path)
 
+    def test_multi_line_record_names_its_first_line(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        rows = b"".join(b"%d,0.0\n" % i for i in range(5000))
+        path.write_bytes(b"label,prob\n" + rows + b'"1\n2",0.5\n5000,0.5\n')
+        with pytest.raises(OutOfRangeError, match="CSV line 5002:"):
+            read_distribution(path)
+
     def test_invalid_utf8_in_first_block_names_its_line(self, tmp_path):
         path = tmp_path / "early.csv"
         path.write_bytes(b"label,prob\n0,0.5\n1,\xff\n")

@@ -163,7 +163,7 @@ class TestRunExperiment:
 
     def test_records_are_ordered_and_seeded(self):
         report = run_experiment(small_config(trials=8))
-        assert [t.trial_index for t in report.trials] == list(range(8))
+        assert [t.trial for t in report.trials] == list(range(8))
         assert len({t.seed for t in report.trials}) == 8
 
     def test_same_seed_reproduces_records(self):
@@ -186,6 +186,13 @@ class TestRunExperiment:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
         run_experiment(small_config(trials=5), jobs=2)  # one cpu: serial
         assert pool_spy == [2, 2, 2]
+
+    def test_path_out_path_writes_json(self, tmp_path):
+        out = tmp_path / "report.json"
+        report = run_experiment(small_config(trials=2, out_path=out, format="json"))
+        on_disk = json.loads(out.read_bytes())
+        assert on_disk["config"]["out_path"] == str(out)
+        assert on_disk["summary"]["estimate_mean"] == report.estimate_mean
 
     def test_writes_report_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -316,6 +323,22 @@ class TestEmitReport:
             for trial in d["trials"]:
                 trial.pop("wall_time_ns")
         assert dicts[0] == dicts[1]
+
+    def test_csv_header_is_json_trial_keys_less_timing(self):
+        report = run_experiment(small_config(trials=2))
+        header = emit_report(report, "csv").decode("utf-8").splitlines()[0]
+        keys = list(json.loads(emit_report(report, "json"))["trials"][0])
+        assert header.split(",") == [k for k in keys if k not in harness._TIMING_FIELDS]
+        assert "wall_time_ns" in harness._TIMING_FIELDS
+        assert keys[0] == "trial"
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_estimate_is_not_written_to_json(self, bad):
+        report = run_experiment(small_config(trials=2))
+        first = dataclasses.replace(report.trials[0], estimate=bad)
+        broken = dataclasses.replace(report, trials=(first,) + report.trials[1:])
+        with pytest.raises(ValueError):
+            emit_report(broken, "json")
 
     def test_unknown_format_rejected(self):
         report = run_experiment(small_config(trials=1))
