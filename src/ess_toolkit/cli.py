@@ -3,15 +3,13 @@
 Subcommands: ``run`` executes a seeded experiment and writes a report,
 ``exact`` prints ground-truth values for a distribution, ``gen`` writes a
 generated distribution to a file.  Exit codes: 0 on success, 2 on
-validation errors, 1 on I/O errors, on running out of memory and on a
-worker process that died.
+validation errors, 1 on I/O errors and on running out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import BrokenExecutor
 
 from .distribution import exact_ess, exact_quantile, write_distribution
 from .errors import EssToolkitError
@@ -38,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="report output path")
     run.add_argument("--format", choices=FORMATS, required=True)
     run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for parallel trials (default 1)")
+                     help="must be 1: trials run serially (default 1)")
     run.set_defaults(func=_cmd_run)
 
     exact = sub.add_parser("exact", help="print exact ground-truth values")
@@ -102,7 +100,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, BrokenExecutor) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

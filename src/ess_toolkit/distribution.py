@@ -318,7 +318,10 @@ def read_distribution(path, fmt: str | None = None) -> DiscreteDistribution:
         return DiscreteDistribution(rows["label"], rows["prob"])
     if fmt == "json":
         with open(path, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
+            try:
+                rows = json.load(fh)
+            except RecursionError:
+                raise OutOfRangeError("distribution JSON is nested too deeply") from None
         if not isinstance(rows, list):
             raise OutOfRangeError("distribution JSON must be an array of objects")
         return DiscreteDistribution.from_pairs(

@@ -2,16 +2,14 @@
 
 The runner owns the only piece of full-distribution knowledge in an
 experiment: it computes the exact acceptance band once, then hands each
-trial a fresh oracle seeded from (master_seed, trial).  Trials are
-independent, so they can run serially or in a process pool with identical
-results; records are always assembled in trial order.
+trial a fresh oracle seeded from (master_seed, trial).  Trials run one
+after another in trial order; each depends only on its own seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import operator
 import os
 import stat
@@ -32,7 +30,7 @@ from .generators import (
     parse_spec,
     spec_string,
 )
-from .oracle import DualOracle, derive_seed, sampler_table
+from .oracle import DualOracle, derive_seed
 
 MODES = ("bicriteria", "unicriterion")
 FORMATS = ("csv", "json")
@@ -54,7 +52,7 @@ class ExperimentConfig:
     required in bicriteria mode and ignored in unicriterion mode.
     """
 
-    dist_source: str | GeneratorSpec
+    dist_source: str | os.PathLike | GeneratorSpec
     eps: float
     beta: float
     gamma: float | None
@@ -65,6 +63,12 @@ class ExperimentConfig:
     format: str = "json"
 
     def __post_init__(self) -> None:
+        # a distribution object would reach the report only as its repr
+        if not isinstance(self.dist_source, (str, os.PathLike, GeneratorSpec)):
+            raise OutOfRangeError(
+                "dist_source must be a file path, a generator string or a "
+                f"GeneratorSpec, got {type(self.dist_source).__name__}"
+            )
         if self.mode not in MODES:
             raise OutOfRangeError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.format not in FORMATS:
@@ -136,11 +140,9 @@ def _params(eps, beta, gamma, mode: str) -> EstimatorParams:
 
 def load_distribution(source) -> DiscreteDistribution:
     """Resolve a config ``dist_source`` into a validated distribution."""
-    if isinstance(source, DiscreteDistribution):
-        return source
     if isinstance(source, GeneratorSpec):
         return make_distribution(source)
-    text = str(source)
+    text = os.fspath(source)
     family = text.partition(":")[0]
     if family in FAMILIES:
         return make_distribution(parse_spec(text))
@@ -202,57 +204,21 @@ def _run_trial(
     )
 
 
-# Worker-side context for parallel trials; set once per worker process.
-_TRIAL_CONTEXT = None
-
-
-def _init_trial_worker(context) -> None:
-    global _TRIAL_CONTEXT
-    _TRIAL_CONTEXT = context
-
-
-def _trial_by_index(index: int) -> TrialRecord:
-    dist, config, band_low, band_high = _TRIAL_CONTEXT
-    return _run_trial(dist, config, band_low, band_high, index)
-
-
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Run all trials of ``config`` and (optionally) write the report.
+    """Run all trials of ``config`` in order and (optionally) write the report.
 
-    ``jobs`` > 1 runs trials on ``min(jobs, trials, cpu_count)`` worker
-    processes; a worker that dies raises ``BrokenProcessPool``.  Seeds come
-    from (master_seed, trial) alone, so serial and parallel execution
-    produce identical records apart from wall-clock timings.
+    ``jobs`` must be 1: trials always run serially in this process.
     """
-    if jobs < 1:
-        raise OutOfRangeError(f"jobs must be >= 1, got {jobs}")
+    if jobs != 1:
+        raise OutOfRangeError(f"jobs must be 1, got {jobs}")
     dist = load_distribution(config.dist_source)
     band_low, band_high, ess_eps, ess_relaxed = band_endpoints(
         dist, config.eps, config.beta, config.gamma, config.mode
     )
-    sampler_table(dist)  # build once here so workers inherit it
-
-    indices = range(config.trials)
-    workers = min(jobs, config.trials, os.cpu_count() or 1)
-    if workers == 1:
-        records = [
-            _run_trial(dist, config, band_low, band_high, i) for i in indices
-        ]
-    else:
-        # imported here: the pool module adds about 1 MiB that serial runs skip
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = (dist, config, band_low, band_high)
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = multiprocessing.get_context()
-        chunk = max(1, config.trials // (workers * 4))
-        with ProcessPoolExecutor(
-            workers, ctx, initializer=_init_trial_worker, initargs=(context,)
-        ) as pool:
-            records = list(pool.map(_trial_by_index, indices, chunksize=chunk))
-
+    records = [
+        _run_trial(dist, config, band_low, band_high, i)
+        for i in range(config.trials)
+    ]
     estimates = [r.estimate for r in records]
     report = ExperimentReport(
         config=config,
@@ -310,8 +276,7 @@ def _write_report(report: ExperimentReport, path) -> None:
 
 
 def _field_dict(record) -> dict:
-    # not dataclasses.asdict, which deep-copies every field (a config's
-    # dist_source may be a whole distribution)
+    # not dataclasses.asdict, which recurses into and deep-copies every field
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
@@ -319,7 +284,7 @@ def _config_dict(config: ExperimentConfig) -> dict:
     out = _field_dict(config)
     source = config.dist_source
     out["dist_source"] = (
-        spec_string(source) if isinstance(source, GeneratorSpec) else str(source)
+        spec_string(source) if isinstance(source, GeneratorSpec) else os.fspath(source)
     )
     if config.mode != "bicriteria":
         # unicriterion ignores gamma, which may then be any float, inf included

@@ -9,7 +9,6 @@ seeds are pinned so every run is reproducible.
 
 import dataclasses
 import math
-import os
 import time
 from contextlib import contextmanager
 
@@ -36,8 +35,6 @@ from ess_toolkit import (
 )
 
 from conftest import precedes, random_simplex_distribution
-
-JOBS = max(1, min(4, os.cpu_count() or 1))
 
 FIXTURES = {
     "uniform_1e4": "uniform:n=10000",
@@ -108,7 +105,7 @@ def test_estimator_band_success_rate(fixture, eps):
             ),
         )
         start = time.perf_counter()
-        report = run_experiment(config, jobs=JOBS)
+        report = run_experiment(config)
         elapsed = time.perf_counter() - start
         assert report.success_rate >= 0.60, f"rate {report.success_rate}"
         assert elapsed < 60.0, f"configuration took {elapsed:.1f}s"
@@ -128,7 +125,7 @@ def test_unicriterion_band_success_rate(fixture):
             master_seed=derive_seed(777_000_111, FIXTURE_INDEX[fixture]),
         )
         start = time.perf_counter()
-        report = run_experiment(config, jobs=JOBS)
+        report = run_experiment(config)
         elapsed = time.perf_counter() - start
         assert report.success_rate >= 0.60, f"rate {report.success_rate}"
         assert elapsed < 120.0, f"fixture took {elapsed:.1f}s"
@@ -207,7 +204,7 @@ def test_degenerate_parameters_return_one_without_queries():
 
 
 def test_reports_are_deterministic_and_execution_order_free():
-    with criterion("determinism (reruns and serial-vs-parallel identical)"):
+    with criterion("determinism (same-seed reruns identical)"):
         config = ExperimentConfig(
             dist_source="zipf:n=1000,s=1.0",
             eps=0.2,
@@ -217,16 +214,14 @@ def test_reports_are_deterministic_and_execution_order_free():
             trials=24,
             master_seed=42424242,
         )
-        first = run_experiment(config, jobs=1)
-        second = run_experiment(config, jobs=1)
-        parallel = run_experiment(config, jobs=max(2, JOBS))
+        first = run_experiment(config)
+        second = run_experiment(config)
 
         def records(report):
             return [dataclasses.replace(t, wall_time_ns=0) for t in report.trials]
 
-        assert records(first) == records(second) == records(parallel)
+        assert records(first) == records(second)
         assert emit_report(first, "csv") == emit_report(second, "csv")
-        assert emit_report(first, "csv") == emit_report(parallel, "csv")
 
         def timeless(report):
             data = report_dict(report)
@@ -234,7 +229,7 @@ def test_reports_are_deterministic_and_execution_order_free():
                 trial.pop("wall_time_ns")
             return data
 
-        assert timeless(first) == timeless(second) == timeless(parallel)
+        assert timeless(first) == timeless(second)
 
 
 def test_stage_two_mean_is_unbiased_at_exact_pivot():

@@ -1,16 +1,17 @@
 import json
 import os
-import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ess_toolkit
 from ess_toolkit import (
     DiscreteDistribution,
     exact_ess,
-    harness,
     read_distribution,
     write_distribution,
 )
@@ -174,6 +175,12 @@ class TestExact:
                 "expected CSV header",
                 id="open_quote.csv",
             ),
+            pytest.param(
+                "deep.json",
+                "[" * 100_000 + "]" * 100_000,
+                "nested too deeply",
+                id="deep.json",
+            ),
         ],
     )
     def test_malformed_file_exits_2_naming_the_row(
@@ -278,7 +285,6 @@ class TestRun:
                 "--seed", "11",
                 "--out", str(out),
                 "--format", "json",
-                "--jobs", "2",
             ]
         )
         assert code == 0
@@ -338,21 +344,31 @@ class TestRun:
         assert main(run_argv(out, **{flag: "inf"})) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
+    def test_jobs_other_than_one_exits_2(self, tmp_path, capsys, jobs):
         out = tmp_path / "r.json"
         assert main(run_argv(out, jobs=jobs)) == 2
         assert "jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_killed_worker_exits_1(self, tmp_path, monkeypatch, pool_spy, alarm):
-        def die(*args):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(harness, "_run_trial", die)  # inherited by forked workers
-        assert main(run_argv(tmp_path / "r.json", jobs="2")) == 1
-        assert pool_spy == [2]
+    def test_run_loads_no_process_pool_modules(self, tmp_path):
+        # a fresh interpreter, so modules other tests imported do not count
+        code = (
+            "import sys\n"
+            "from ess_toolkit.cli import main\n"
+            f"assert main({run_argv(tmp_path / 'r.json', trials='1')!r}) == 0\n"
+            "print(sorted({m.partition('.')[0] for m in sys.modules}"
+            " & {'multiprocessing', 'concurrent'}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(ess_toolkit.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_argparse_rejects_unknown_mode(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
