@@ -69,8 +69,10 @@ class DiscreteDistribution:
     Construction checks every invariant (unique uint64 labels, nonnegative
     finite probabilities, total mass 1 within ``MASS_TOLERANCE``) and builds
     the canonical rank: ``order`` is the permutation sorting elements by
-    (probability, label) and ``cumulative`` holds prefix sums of probability
-    along it.  ``total`` is the exactly rounded sum of the probabilities
+    (probability, label), ``cumulative`` holds prefix sums of probability
+    along it, and ``run_bounds`` indexes its runs of equal probability:
+    run g is ``order[run_bounds[g]:run_bounds[g + 1]]``, and the last bound
+    is ``size``.  ``total`` is the exactly rounded sum of the probabilities
     (``math.fsum``), the mass samplers normalize by.  Instances are
     immutable afterwards and safe to share across threads.
 
@@ -84,6 +86,7 @@ class DiscreteDistribution:
         "probs",
         "order",
         "cumulative",
+        "run_bounds",
         "total",
         "_support_size",
         "_derived",
@@ -110,7 +113,8 @@ class DiscreteDistribution:
         by_label = np.argsort(label_arr)
         if np.any(np.diff(label_arr[by_label]) == 0):
             raise DuplicateLabelError("labels within one distribution must be unique")
-        total = math.fsum(prob_arr.tolist())
+        # fsum reads the floats straight from the buffer: no list of n floats
+        total = math.fsum(memoryview(prob_arr))
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise MassNotOneError(
                 f"probabilities sum to {total!r}, expected 1 within {MASS_TOLERANCE}"
@@ -121,12 +125,21 @@ class DiscreteDistribution:
         # labels are unique, so a stable sort by probability of the
         # label-sorted elements is the (probability, label) order
         self.order = by_label[np.argsort(prob_arr[by_label], kind="stable")]
-        self.cumulative = np.cumsum(prob_arr[self.order])
+        sorted_probs = prob_arr[self.order]
+        self.cumulative = np.cumsum(sorted_probs)
+        changes = np.flatnonzero(sorted_probs[1:] != sorted_probs[:-1])
+        self.run_bounds = np.concatenate(([0], changes + 1, [prob_arr.size]))
         self.total = total
         self._support_size = int(np.count_nonzero(prob_arr))
         self._derived: dict[str, object] = {}
 
-        for arr in (self.labels, self.probs, self.order, self.cumulative):
+        for arr in (
+            self.labels,
+            self.probs,
+            self.order,
+            self.cumulative,
+            self.run_bounds,
+        ):
             arr.flags.writeable = False
 
     # -- constructors -------------------------------------------------

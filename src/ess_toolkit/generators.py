@@ -88,10 +88,10 @@ def make_distribution(spec: GeneratorSpec) -> DiscreteDistribution:
         probs = np.full(n, 1.0 / n)
     elif spec.family == "zipf":
         weights = np.arange(1, n + 1, dtype=np.float64) ** (-spec.s)
-        probs = weights / math.fsum(weights.tolist())
+        probs = weights / math.fsum(memoryview(weights))
     elif spec.family == "geometric":
         weights = spec.rho ** np.arange(n, dtype=np.float64)
-        probs = weights / math.fsum(weights.tolist())
+        probs = weights / math.fsum(memoryview(weights))
     elif spec.family == "two_tier":
         probs = np.empty(n)
         probs[: spec.h] = spec.heavy_mass / spec.h

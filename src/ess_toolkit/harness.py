@@ -260,7 +260,11 @@ def _write_report(report: ExperimentReport, path) -> None:
         return
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        # name the report, not the temporary file the caller never asked for
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             fh.write(data)

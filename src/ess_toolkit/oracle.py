@@ -23,8 +23,10 @@ stands for:
   the elements at or above the pivot into runs of equal probability and
   draws one multinomial count vector over those runs plus one cell for the
   rest (Devroye, *Non-Uniform Random Variate Generation*, 1986).  That is
-  the law of t draws exactly; the cost is O(n - rank) for the suffix plus
-  one binomial per run, independent of t.
+  the law of t draws exactly.  The runs come from the distribution's
+  ``run_bounds``, built once with its canonical order, so the cost is a
+  bisect for the pivot's position plus O(runs above the pivot), one
+  binomial per run, independent of t and of n.
 """
 
 from __future__ import annotations
@@ -268,7 +270,9 @@ class DualOracle:
         law of summing :func:`~ess_toolkit.estimator.inverse_prob_terms` over
         ``count`` draws: the number of draws landing in each run of equal
         probability at or above the pivot, and in the rest, is one
-        multinomial vector.
+        multinomial vector.  The runs are read from ``dist.run_bounds``;
+        no per-call array grows with the number of elements above the
+        pivot, only with the number of runs.
         """
         count = operator.index(count)
         if count < 0:
@@ -276,13 +280,12 @@ class DualOracle:
         dist = self.dist
         # zero-probability elements sort first and are never drawn
         start = max(self._canonical_position(pivot), dist.size - dist.support_size)
-        probs = dist.probs[dist.order[start:]]
-        run_start = np.empty(probs.size, dtype=bool)
-        run_start[:1] = True
-        np.not_equal(probs[1:], probs[:-1], out=run_start[1:])
-        run_starts = np.flatnonzero(run_start)
-        values = probs[run_starts]
-        run_sizes = np.diff(np.append(run_starts, probs.size))
+        # the run holding position ``start`` is counted from there, each
+        # later run in full; a pivot above every element leaves no run
+        bounds = dist.run_bounds
+        first = int(np.searchsorted(bounds, start, side="right")) - 1
+        values = dist.probs[dist.order[bounds[first:-1]]]
+        run_sizes = np.diff(np.maximum(bounds[first:], start))
         cells = run_sizes * values / dist.total
         # numpy draws every cell but the last as a binomial of the mass still
         # unassigned and gives the last one the remaining draws; putting the

@@ -351,6 +351,13 @@ class TestRun:
         assert "jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_report_in_missing_directory_names_the_report(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main(run_argv(out)) == 1
+        err = capsys.readouterr().err
+        assert os.path.join("missing", "r.json") in err
+        assert ".tmp" not in err
+
     def test_run_loads_no_process_pool_modules(self, tmp_path):
         # a fresh interpreter, so modules other tests imported do not count
         code = (

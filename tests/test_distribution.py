@@ -222,6 +222,27 @@ class TestExactEssBruteforce:
                 assert exact_ess(dist, eps) == exact_ess_bruteforce(dist, eps)
 
 
+class TestRunBounds:
+    def test_runs_of_equal_probability_in_canonical_order(self):
+        dist = validate({5: 0.25, 1: 0.0, 9: 0.25, 2: 0.0, 3: 0.5, 7: 0.0})
+        assert dist.run_bounds.tolist() == [0, 3, 5, 6]
+        assert validate({A: 1.0}).run_bounds.tolist() == [0, 1]
+
+    def test_every_run_is_one_probability_and_neighbours_differ(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            base = random_simplex_distribution(rng)
+            # repeat each probability a few times to make ties
+            probs = np.repeat(base.probs, 3) / 3.0
+            dist = DiscreteDistribution.from_probs(probs)
+            bounds = dist.run_bounds
+            assert bounds[0] == 0 and bounds[-1] == dist.size
+            assert np.all(np.diff(bounds) > 0)
+            sorted_probs = dist.probs[dist.order]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                assert np.all(sorted_probs[lo:hi] == sorted_probs[lo])
+            assert np.all(sorted_probs[bounds[1:-1]] != sorted_probs[bounds[1:-1] - 1])
+
 class TestZeroPadding:
     def test_padding_changes_nothing(self):
         rng = np.random.default_rng(5)
@@ -355,6 +376,12 @@ class TestFileFormats:
 class TestImmutability:
     def test_arrays_not_writeable(self):
         dist = uniform(4)
-        for arr in (dist.labels, dist.probs, dist.order, dist.cumulative):
+        for arr in (
+            dist.labels,
+            dist.probs,
+            dist.order,
+            dist.cumulative,
+            dist.run_bounds,
+        ):
             with pytest.raises(ValueError):
                 arr[0] = 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,7 +11,12 @@ from ess_toolkit import (
     UnknownLabelError,
     derive_seed,
 )
-from ess_toolkit.generators import GeneratorSpec, make_distribution, spec_string
+from ess_toolkit.generators import (
+    GeneratorSpec,
+    make_distribution,
+    parse_spec,
+    spec_string,
+)
 from ess_toolkit.oracle import AliasTable, sampler_table
 
 from conftest import random_simplex_distribution, validate
@@ -349,3 +356,89 @@ class TestInverseProbSum:
         first = DualOracle(dist, seed=7).inverse_prob_sum(10**7, pivot)
         second = DualOracle(dist, seed=7).inverse_prob_sum(10**7, pivot)
         assert first == second
+
+
+def suffix_scan_inverse_prob_sum(oracle, count, pivot) -> float:
+    """Stage two with its runs found by scanning every element at or above
+    the pivot.
+
+    :meth:`DualOracle.inverse_prob_sum` reads the same runs from
+    ``dist.run_bounds`` and must match this bit for bit: the same
+    multinomial cells, drawn from the same stream.  Query counts are not
+    charged.
+    """
+    dist = oracle.dist
+    start = max(oracle._canonical_position(pivot), dist.size - dist.support_size)
+    probs = dist.probs[dist.order[start:]]
+    run_start = np.empty(probs.size, dtype=bool)
+    run_start[:1] = True
+    np.not_equal(probs[1:], probs[:-1], out=run_start[1:])
+    run_starts = np.flatnonzero(run_start)
+    values = probs[run_starts]
+    run_sizes = np.diff(np.append(run_starts, probs.size))
+    cells = run_sizes * values / dist.total
+    rest = max(0.0, 1.0 - float(cells.sum()))
+    hits = oracle._rng.multinomial(count, np.concatenate(([rest], cells)))[1:]
+    return float((hits / values).sum())
+
+
+def reference_pivots(dist) -> list[tuple[int, float]]:
+    """Pivots at the start, middle and end of every run of equal
+    probability (zero-probability ones included), at the first positive
+    element, and one above every element."""
+    sorted_probs = dist.probs[dist.order]
+    starts = np.flatnonzero(np.r_[True, sorted_probs[1:] != sorted_probs[:-1]])
+    ends = np.r_[starts[1:], dist.size] - 1
+    positions = {dist.size - dist.support_size}
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        positions |= {lo, (lo + hi) // 2, hi}
+    pivots = [
+        (int(dist.labels[dist.order[p]]), float(sorted_probs[p]))
+        for p in sorted(positions)
+    ]
+    return pivots + [(2**64 - 1, 1.0)]
+
+
+class TestRunIndexMatchesSuffixScan:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "two_tier:n=1000,h=10,H=0.5",
+            "uniform:n=64",
+            "zipf:n=300,s=1.1",
+            "uniform:n=8,pad=100",
+        ],
+    )
+    def test_bit_identical_at_pinned_seeds(self, spec):
+        dist = make_distribution(parse_spec(spec))
+        for seed in (11, 2**63 + 5):
+            for pivot in reference_pivots(dist):
+                for count in (1, 1000, 10**7):
+                    oracle = DualOracle(dist, seed)
+                    reference = DualOracle(dist, seed)
+                    got = oracle.inverse_prob_sum(count, pivot)
+                    assert got == suffix_scan_inverse_prob_sum(reference, count, pivot)
+                    # same cells, so the stream is left at the same place
+                    after = oracle._rng.random(4)
+                    assert after.tolist() == reference._rng.random(4).tolist()
+
+
+class TestInverseProbSumAllocation:
+    # an allocation bound, not a timing: stage two must not gather or scan
+    # the elements above the pivot, which here number 1.6 million
+    @pytest.mark.parametrize(
+        "spec", ["uniform:n=2000000", "two_tier:n=2000000,h=1000,H=0.5"]
+    )
+    def test_traced_peak_is_independent_of_n(self, spec):
+        dist = make_distribution(parse_spec(spec))
+        index = int(dist.order[dist.size // 5])
+        pivot = (int(dist.labels[index]), float(dist.probs[index]))
+        oracle = DualOracle(dist, seed=12)
+        tracemalloc.start()
+        try:
+            total = oracle.inverse_prob_sum(10**6, pivot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total > 0.0
+        assert peak < 1 << 20
