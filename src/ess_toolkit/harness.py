@@ -8,6 +8,7 @@ after another in trial order; each depends only on its own seed.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import operator
@@ -211,6 +212,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """
     if jobs != 1:
         raise OutOfRangeError(f"jobs must be 1, got {jobs}")
+    if config.out_path is not None:
+        # fail before any trial runs; the writer still names the report if
+        # the directory goes away during the run
+        directory = os.path.dirname(os.path.abspath(config.out_path))
+        if not os.path.isdir(directory):
+            code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+            raise OSError(code, os.strerror(code), os.fspath(config.out_path))
     dist = load_distribution(config.dist_source)
     band_low, band_high, ess_eps, ess_relaxed = band_endpoints(
         dist, config.eps, config.beta, config.gamma, config.mode

@@ -3,8 +3,9 @@
 A :class:`DualOracle` answers batches of queries -- draw samples, or draw
 samples together with their own probabilities -- and probability lookups
 of single labels, while counting every query.  Draws go through an alias
-table over the positive-probability elements and are plain numpy
-pipelines.
+table whose slots are the canonical positions of the positive-probability
+elements, so a draw is a canonical rank; ``dist.order`` maps it to its
+element.  Draws are plain numpy pipelines.
 
 Each draw consumes exactly one uniform double from the generator; the
 sample stream is therefore a function of (seed, number of draws) alone,
@@ -14,10 +15,10 @@ On top of the draws the oracle offers the two statistics the estimator
 needs, each charged as the full batch of probability-revealing queries it
 stands for:
 
-* :meth:`DualOracle.order_statistic` (stage one) draws r samples from the
-  stream, maps each to its canonical rank and selects the k-th smallest in
-  O(r) time and r*4 bytes.  It returns exactly the element that sorting
-  the same draws by (probability, label) would select, for every seed.
+* :meth:`DualOracle.order_statistic` (stage one) draws r canonical ranks
+  from the stream and selects the k-th smallest in O(r) time and r*4
+  bytes.  It returns exactly the element that sorting the same draws by
+  (probability, label) would select, for every seed.
 * :meth:`DualOracle.inverse_prob_sum` (stage two) returns sum(1/p) over t
   draws that rank at or above a pivot without making the draws: it groups
   the elements at or above the pivot into runs of equal probability and
@@ -47,6 +48,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # drawn (one uniform per draw).
 _CHUNK = 1 << 16
 
+_INT32_MAX = np.iinfo(np.int32).max
+
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Mix a master seed and a stream index into an independent 64-bit seed.
@@ -73,93 +76,110 @@ def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``hi`` is the float64 running sum; ``lo`` is the running sum of the
     rounding error of each of its additions, found exactly by TwoSum (Knuth,
     TAOCP vol. 2, 4.2.2), so ``hi + lo`` carries about twice the precision
-    on every platform.
+    on every platform.  The TwoSum terms are formed in ``lo`` and in ``x``,
+    which is overwritten: the two outputs are the only arrays allocated.
     """
     hi = np.zeros(x.size + 1)
     np.cumsum(x, out=hi[1:])
     before, after = hi[:-1], hi[1:]
-    added = after - before
-    err = (before - (after - added)) + (x - added)
     lo = np.zeros(x.size + 1)
-    np.cumsum(err, out=lo[1:])
+    # err = (before - (after - added)) + (x - added), added = after - before
+    term = lo[1:]
+    np.subtract(after, before, out=term)  # added
+    x -= term
+    np.subtract(after, term, out=term)
+    np.subtract(before, term, out=term)
+    x += term
+    np.cumsum(x, out=lo[1:])
     return hi, lo
 
 
 class AliasTable:
-    """Alias structure over the positive-probability elements of a distribution.
+    """Alias structure over the canonical positions of the positive elements.
 
-    The table keeps the inverse of ``dist.order``, ``rank`` (the canonical
-    rank of each element), so drawn elements map to ranks with one gather.
-    An element is drawn with probability ``dist.probs[i] / dist.total``.
+    Slot j stands for canonical position ``first + j``, where ``first =
+    dist.size - dist.support_size`` skips the zero-probability elements,
+    which sort first.  :meth:`draw` returns canonical positions, each with
+    probability ``p / dist.total`` of the element at that position;
+    ``dist.order`` maps a position to its element.
 
     The build is Vose's sweep (Vose, IEEE TSE 1991) written as prefix sums.
-    Slot weights are scaled to mean 1; slots below 1 are *small*, the rest
-    *large*, each in index order.  Small slot j keeps its weight and aliases
-    the first large whose cumulative excess reaches the cumulative deficit
-    of the smalls before j.  A large that the deficits push below 1 keeps
-    ``1 - overshoot`` and aliases the next large; the last large keeps 1.
+    Slot weights are scaled to mean 1 and, in canonical order, ascend: the
+    slots below 1 (*small*) are a prefix and the rest (*large*) a suffix.
+    Small slot j keeps its weight and aliases the first large whose
+    cumulative excess reaches the cumulative deficit of the smalls before j.
+    A large that the deficits push below 1 keeps ``1 - overshoot`` and
+    aliases the next large; the last large keeps 1.  Those depleted larges
+    are a prefix of the larges, since both cumulative sums ascend.
     """
 
-    __slots__ = ("size", "accept", "alias", "element_indices", "rank")
+    __slots__ = ("first", "size", "accept", "alias")
 
     def __init__(self, dist: DiscreteDistribution) -> None:
-        probs = dist.probs
-        positive = np.flatnonzero(probs > 0.0)
-        if positive.size == 0:
+        size = dist.support_size
+        if size == 0:
             raise OutOfRangeError("cannot sample: no positive-probability element")
-        size = int(positive.size)
+        first = dist.size - size
         # normalize by the exact mass so the table encodes a true
         # distribution even when the stored mass is off by the validator
-        # tolerance
-        scaled = probs[positive] * (size / dist.total)
-
-        accept = np.ones(size)
-        alias = np.arange(size, dtype=np.int64)
-        small = np.flatnonzero(scaled < 1.0)
-        large = np.flatnonzero(scaled >= 1.0)
+        # tolerance; scaling by a positive factor keeps the weights sorted
+        accept = dist.probs[dist.order[first:]]
+        accept *= size / dist.total
+        alias = np.arange(size, dtype=np.int32 if size <= _INT32_MAX else np.int64)
+        smalls = int(np.searchsorted(accept, 1.0, side="left"))
+        larges = size - smalls
         # with no large slot every weight is 1 up to float noise: all accept
-        if small.size and large.size:
-            deficit, deficit_lo = _prefix_sums(1.0 - scaled[small])
-            excess, excess_lo = _prefix_sums(scaled[large] - 1.0)
+        if smalls and larges:
+            deficit, deficit_lo = _prefix_sums(1.0 - accept[:smalls])
+            excess, excess_lo = _prefix_sums(accept[smalls:] - 1.0)
             # both searches compare the same float64 sums, so whatever the
             # rounding, a large's accept plus the deficits it takes
             # telescope to its weight; deficits past the last large's
             # excess are float noise and go to the last large
             target = np.searchsorted(excess[1:], deficit[:-1], side="left")
-            np.minimum(target, large.size - 1, out=target)
-            accept[small] = scaled[small]
-            alias[small] = large[target]
+            np.minimum(target, larges - 1, out=target)
+            target += smalls
+            alias[:smalls] = target
+            del target
             # a large before the last is depleted by the first small whose
-            # cumulative deficit passes its cumulative excess
-            cause = np.searchsorted(deficit[1:], excess[1:-1], side="right")
-            depleted = np.flatnonzero(cause < small.size)
-            through = cause[depleted] + 1
-            overshoot = (deficit[through] - excess[depleted + 1]) + (
-                deficit_lo[through] - excess_lo[depleted + 1]
+            # cumulative deficit passes its cumulative excess.  The large
+            # weights are spent, so their slots of ``accept`` take the
+            # overshoot and ``excess``, once read, its low part; the indices
+            # are in range, and mode="clip" takes into ``out`` unbuffered
+            depleted = int(np.searchsorted(excess[1:-1], deficit[-1], side="left"))
+            through = np.searchsorted(
+                deficit[1:], excess[1 : depleted + 1], side="right"
             )
-            accept[large[depleted]] = np.clip(1.0 - overshoot, 0.0, 1.0)
-            alias[large[depleted]] = large[depleted + 1]
+            through += 1
+            overshoot = accept[smalls : smalls + depleted]
+            np.take(deficit, through, out=overshoot, mode="clip")
+            overshoot -= excess[1 : depleted + 1]
+            overshoot_lo = excess[:depleted]
+            np.take(deficit_lo, through, out=overshoot_lo, mode="clip")
+            overshoot_lo -= excess_lo[1 : depleted + 1]
+            overshoot += overshoot_lo
+            np.subtract(1.0, overshoot, out=overshoot)
+            np.clip(overshoot, 0.0, 1.0, out=overshoot)
+            accept[smalls + depleted :] = 1.0
+            alias[smalls : smalls + depleted] += 1
+        else:
+            accept.fill(1.0)
 
+        self.first = first
         self.size = size
         self.accept = accept
         self.alias = alias
-        # identity mapping is skipped when every element is positive
-        self.element_indices = None if size == probs.size else positive.astype(np.int64)
-        rank_dtype = np.int32 if probs.size <= np.iinfo(np.int32).max else np.int64
-        self.rank = np.empty(probs.size, dtype=rank_dtype)
-        self.rank[dist.order] = np.arange(probs.size, dtype=rank_dtype)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` element-table indices, one uniform double each."""
+        """Draw ``count`` canonical positions, one uniform double each."""
         u = rng.random(count)
         v = u * self.size
         bucket = v.astype(np.int64)
         np.minimum(bucket, self.size - 1, out=bucket)  # u*size may round up to size
         np.subtract(v, bucket, out=v)  # fractional part decides accept vs alias
-        idx = np.where(v < self.accept[bucket], bucket, self.alias[bucket])
-        if self.element_indices is not None:
-            idx = self.element_indices[idx]
-        return idx
+        slot = np.where(v < self.accept[bucket], bucket, self.alias[bucket])
+        slot += self.first
+        return slot
 
 
 def sampler_table(dist: DiscreteDistribution) -> AliasTable:
@@ -204,7 +224,7 @@ class DualOracle:
         count = operator.index(count)
         if count < 0:
             raise OutOfRangeError("sample count must be nonnegative")
-        return self._table.draw(self._rng, count)
+        return self.dist.order[self._table.draw(self._rng, count)]
 
     def samp_many(self, count: int) -> np.ndarray:
         """Draw ``count`` labels as a uint64 array; counts ``count`` SAMP queries."""
@@ -232,24 +252,25 @@ class DualOracle:
         Counts ``count`` SAMP and ``count`` EVAL queries.  The draws are the
         ones :meth:`sample_with_prob_many` would make from the same stream
         position, and the selected element is the one sorting them by
-        (probability, label) would put at position ``k``; ranks are
-        selected with a partition instead of a sort.
+        (probability, label) would put at position ``k``; the drawn
+        canonical ranks are partitioned instead of sorted.
         """
         count = operator.index(count)
         k = operator.index(k)
         if not 0 <= k < count:
             raise OutOfRangeError(f"order statistic {k} of {count} draws")
+        dist = self.dist
         table = self._table
-        ranks = np.empty(count, dtype=table.rank.dtype)
+        # canonical positions are below dist.size: 4 bytes a draw when it fits
+        ranks = np.empty(count, dtype=np.int32 if dist.size <= _INT32_MAX else np.int64)
         for start in range(0, count, _CHUNK):
             stop = min(start + _CHUNK, count)
-            idx = table.draw(self._rng, stop - start)
-            np.take(table.rank, idx, out=ranks[start:stop])
+            ranks[start:stop] = table.draw(self._rng, stop - start)
         self.samp_count += count
         self.eval_count += count
         ranks.partition(k)
-        index = int(self.dist.order[ranks[k]])
-        return int(self.dist.labels[index]), float(self.dist.probs[index])
+        index = int(dist.order[ranks[k]])
+        return int(dist.labels[index]), float(dist.probs[index])
 
     def _canonical_position(self, pivot: tuple[int, float]) -> int:
         """Number of elements that precede ``pivot`` in canonical order."""

@@ -358,6 +358,21 @@ class TestRun:
         assert os.path.join("missing", "r.json") in err
         assert ".tmp" not in err
 
+    @pytest.mark.parametrize("parent", ["missing", "file.txt"])
+    def test_report_directory_is_checked_before_loading(
+        self, tmp_path, monkeypatch, capsys, parent
+    ):
+        (tmp_path / "file.txt").write_text("")
+
+        def fail(source):
+            raise AssertionError(f"{source} was loaded")
+
+        monkeypatch.setattr("ess_toolkit.harness.load_distribution", fail)
+        out = tmp_path / parent / "r.json"
+        assert main(run_argv(out)) == 1
+        assert f"'{out}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_loads_no_process_pool_modules(self, tmp_path):
         # a fresh interpreter, so modules other tests imported do not count
         code = (

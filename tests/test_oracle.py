@@ -208,7 +208,7 @@ class TestSamplerTable:
         dist = make_distribution(GeneratorSpec("uniform", n=8, zero_pad=100))
         table = sampler_table(dist)
         assert table.size == 8
-        assert table.element_indices.tolist() == list(range(8))
+        assert table.first == 100
 
 
 def table_mass(table) -> np.ndarray:
@@ -218,10 +218,11 @@ def table_mass(table) -> np.ndarray:
 
 
 def assert_table_encodes(dist) -> None:
-    """The alias table of ``dist`` draws each element with its probability."""
+    """The alias table of ``dist`` draws each canonical position with its
+    element's probability."""
     table = AliasTable(dist)
     assert np.all((table.accept >= 0.0) & (table.accept <= 1.0))
-    want = dist.probs[dist.probs > 0.0] / dist.total
+    want = dist.probs[dist.order[table.first :]] / dist.total
     assert np.allclose(table_mass(table) / table.size, want, rtol=1e-9, atol=0.0)
 
 
@@ -249,19 +250,54 @@ class TestAliasTable:
             assert_table_encodes(random_simplex_distribution(rng, max_n=2000))
 
     def test_deficit_meeting_excess_exactly(self):
-        # scaled weights 1.5, 0.5, 1.5, 0.5: the second small's deficit
-        # starts exactly where the first large's excess ends, so it still
-        # belongs to that large, which is then depleted into the second one
+        # scaled weights 0.5, 0.5, 1.5, 1.5 in canonical order: the second
+        # small's deficit starts exactly where the first large's excess
+        # ends, so it still belongs to that large, which is then depleted
+        # into the second one
         dist = DiscreteDistribution.from_probs([0.375, 0.125, 0.375, 0.125])
         table = AliasTable(dist)
-        assert table_mass(table).tolist() == [1.5, 0.5, 1.5, 0.5]
+        assert table_mass(table).tolist() == [0.5, 0.5, 1.5, 1.5]
 
     def test_builds_are_bit_equal(self):
         dist = make_distribution(GeneratorSpec("zipf", n=10**5, s=1.0))
         first = AliasTable(dist)
         second = AliasTable(dist)
-        for name in ("accept", "alias", "rank"):
+        for name in ("accept", "alias"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+
+
+class TestAliasTableDraws:
+    def test_positions_follow_sorted_probabilities(self):
+        # 200k draws on 50 slots behind 20 zero-probability elements; the
+        # 1e-6 threshold keeps the pinned seed essentially deterministic
+        dist = make_distribution(GeneratorSpec("zipf", n=50, s=1.0, zero_pad=20))
+        table = AliasTable(dist)
+        positions = table.draw(np.random.Generator(np.random.SFC64(77)), 200_000)
+        assert table.first == 20
+        assert positions.min() >= table.first and positions.max() < dist.size
+        counts = np.bincount(positions - table.first, minlength=table.size)
+        expected = dist.probs[dist.order[table.first :]] / dist.total * counts.sum()
+        expected *= counts.sum() / expected.sum()
+        assert stats.chisquare(counts, expected).pvalue > 1e-6
+
+
+class TestAliasTableMemory:
+    # a guard on the build's footprint: the sweep works in canonical order
+    # with no index arrays, and the table keeps 8 bytes of ``accept`` and 4
+    # of int32 ``alias`` per slot
+    def test_traced_bytes_per_element(self):
+        dist = make_distribution(parse_spec("two_tier:n=1000000,h=1000,H=0.5"))
+        n = dist.support_size
+        tracemalloc.start()
+        try:
+            table = AliasTable(dist)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.accept.nbytes + table.alias.nbytes == 12 * n
+        # plus the object, the array headers and interpreter bookkeeping
+        assert kept <= 12 * n + (1 << 16)
+        assert peak <= 48 * n
 
 
 class TestDeriveSeed:
