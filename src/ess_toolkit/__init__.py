@@ -11,6 +11,7 @@ from .distribution import (
     MASS_TOLERANCE,
     MAX_EPS,
     DiscreteDistribution,
+    canonical_order,
     exact_ess,
     exact_ess_bruteforce,
     exact_quantile,
@@ -78,6 +79,7 @@ __all__ = [
     "UnknownLabelError",
     "OutOfRangeError",
     "EmptySampleError",
+    "canonical_order",
     "exact_quantile",
     "exact_ess",
     "exact_ess_bruteforce",

@@ -3,9 +3,11 @@
 Elements are (label, probability) pairs with unsigned 64-bit labels.  The
 canonical order sorts elements by increasing probability, breaking ties by
 label, and every quantile or effective-support-size question is answered
-against that order.  Functions here see the whole distribution; they serve
-as exact references for the sampling-based estimator, which never gets
-this kind of access.
+against that order.  A distribution keeps only its runs of equal
+probability in that order; :func:`canonical_order` builds the order itself
+for the few paths that report labels.  Functions here see the whole
+distribution; they serve as exact references for the sampling-based
+estimator, which never gets this kind of access.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ MAX_EPS = 1.0 - 1e-9
 
 _UINT64_MAX = 2**64 - 1
 
+_BRUTEFORCE_SLICE = 1 << 16
+
 
 def _as_label_array(values) -> np.ndarray:
     if isinstance(values, np.ndarray):
@@ -64,15 +68,18 @@ def _as_label_array(values) -> np.ndarray:
 
 
 class DiscreteDistribution:
-    """A validated finite distribution and its canonical element order.
+    """A validated finite distribution and its runs in canonical order.
 
     Construction checks every invariant (unique uint64 labels, nonnegative
-    finite probabilities, total mass 1 within ``MASS_TOLERANCE``) and builds
-    the canonical rank: ``order`` is the permutation sorting elements by
-    (probability, label), ``cumulative`` holds prefix sums of probability
-    along it, and ``run_bounds`` indexes its runs of equal probability:
-    run g is ``order[run_bounds[g]:run_bounds[g + 1]]``, and the last bound
-    is ``size``.  ``total`` is the exactly rounded sum of the probabilities
+    finite probabilities, total mass 1 within ``MASS_TOLERANCE``) and indexes
+    the canonical order by its runs of equal probability, without building
+    the order itself: run g holds canonical positions ``run_bounds[g]`` up to
+    ``run_bounds[g + 1]`` (the last bound is ``size``), all of probability
+    ``run_values[g]``, and ``run_cumulative[g]`` is the prefix sum of the
+    sorted probabilities (``np.cumsum``, element by element) at the run's
+    last position.  Which label sits where inside a run changes no count;
+    :func:`canonical_order` builds the full permutation on demand.
+    ``total`` is the exactly rounded sum of the probabilities
     (``math.fsum``), the mass samplers normalize by.  Instances are
     immutable afterwards and safe to share across threads.
 
@@ -84,9 +91,9 @@ class DiscreteDistribution:
     __slots__ = (
         "labels",
         "probs",
-        "order",
-        "cumulative",
         "run_bounds",
+        "run_values",
+        "run_cumulative",
         "total",
         "_support_size",
         "_derived",
@@ -108,11 +115,12 @@ class DiscreteDistribution:
         if np.any(prob_arr < 0.0):
             worst = float(prob_arr.min())
             raise NegativeProbabilityError(f"negative probability {worst!r}")
-        # one label sort serves the duplicate check (equal neighbours) and
-        # the canonical order
-        by_label = np.argsort(label_arr)
-        if np.any(np.diff(label_arr[by_label]) == 0):
+        # one sorted copy of the labels, freed before the probabilities are
+        # sorted: equal neighbours are duplicates
+        sorted_labels = np.sort(label_arr)
+        if np.any(sorted_labels[1:] == sorted_labels[:-1]):
             raise DuplicateLabelError("labels within one distribution must be unique")
+        del sorted_labels
         # fsum reads the floats straight from the buffer: no list of n floats
         total = math.fsum(memoryview(prob_arr))
         if abs(total - 1.0) > MASS_TOLERANCE:
@@ -120,15 +128,19 @@ class DiscreteDistribution:
                 f"probabilities sum to {total!r}, expected 1 within {MASS_TOLERANCE}"
             )
 
+        # the run index: where the sorted probabilities change, each run's
+        # value, and the prefix sums (formed in place) at each run's end
+        sorted_probs = np.sort(prob_arr)
+        changes = np.flatnonzero(sorted_probs[1:] != sorted_probs[:-1])
+        run_bounds = np.concatenate(([0], changes + 1, [prob_arr.size]))
+        del changes
+        self.run_values = sorted_probs[run_bounds[:-1]]
+        np.cumsum(sorted_probs, out=sorted_probs)
+        self.run_cumulative = sorted_probs[run_bounds[1:] - 1]
+
         self.labels = label_arr
         self.probs = prob_arr
-        # labels are unique, so a stable sort by probability of the
-        # label-sorted elements is the (probability, label) order
-        self.order = by_label[np.argsort(prob_arr[by_label], kind="stable")]
-        sorted_probs = prob_arr[self.order]
-        self.cumulative = np.cumsum(sorted_probs)
-        changes = np.flatnonzero(sorted_probs[1:] != sorted_probs[:-1])
-        self.run_bounds = np.concatenate(([0], changes + 1, [prob_arr.size]))
+        self.run_bounds = run_bounds
         self.total = total
         self._support_size = int(np.count_nonzero(prob_arr))
         self._derived: dict[str, object] = {}
@@ -136,9 +148,9 @@ class DiscreteDistribution:
         for arr in (
             self.labels,
             self.probs,
-            self.order,
-            self.cumulative,
             self.run_bounds,
+            self.run_values,
+            self.run_cumulative,
         ):
             arr.flags.writeable = False
 
@@ -187,6 +199,11 @@ class DiscreteDistribution:
         """Element table as an iterator of (label, prob) pairs of Python scalars."""
         return zip(self.labels.tolist(), self.probs.tolist())
 
+    def run_of(self, position: int) -> int:
+        """Index of the run holding canonical ``position``; ``len(run_values)``
+        for a position at or past ``size``."""
+        return int(np.searchsorted(self.run_bounds, position, side="right")) - 1
+
     def _cached(self, key: str, build):
         value = self._derived.get(key)
         if value is None:
@@ -208,12 +225,33 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
+def canonical_order(dist: DiscreteDistribution) -> np.ndarray:
+    """Element indices in canonical order: by probability, ties by label.
+
+    Built on each call, in O(n log n): only paths that report labels need
+    it, and nothing is kept.  Labels are unique, so a stable sort by
+    probability of the label-sorted elements is ``np.lexsort((labels,
+    probs))``, found with two faster single-key sorts.
+    """
+    by_label = np.argsort(dist.labels)
+    return by_label[np.argsort(dist.probs[by_label], kind="stable")]
+
+
 def _quantile_position(dist: DiscreteDistribution, eps: float) -> int:
     eps = _check_eps(eps)
-    # first position in canonical order whose cumulative mass strictly
-    # exceeds eps; the mass-sum invariant guarantees one exists
-    pos = int(np.searchsorted(dist.cumulative, eps, side="right"))
-    return min(pos, dist.size - 1)
+    # first canonical position whose cumulative mass strictly exceeds eps;
+    # the mass-sum invariant guarantees one exists.  The run holding it is
+    # found on the run ends, and the masses inside that run are the
+    # element-level prefix sums, so the answer is the same as a search
+    # over the prefix sums of every element.
+    run = int(np.searchsorted(dist.run_cumulative, eps, side="right"))
+    if run == dist.run_values.size:
+        return dist.size - 1
+    lo = int(dist.run_bounds[run])
+    masses = np.full(int(dist.run_bounds[run + 1]) - lo + 1, dist.run_values[run])
+    masses[0] = dist.run_cumulative[run - 1] if run else 0.0
+    np.cumsum(masses, out=masses)
+    return lo + int(np.searchsorted(masses[1:], eps, side="right"))
 
 
 def exact_quantile(dist: DiscreteDistribution, eps: float) -> int:
@@ -222,7 +260,7 @@ def exact_quantile(dist: DiscreteDistribution, eps: float) -> int:
     The returned label always has positive probability: zero-probability
     elements sort first and contribute nothing to the cumulative mass.
     """
-    return int(dist.labels[dist.order[_quantile_position(dist, eps)]])
+    return int(dist.labels[canonical_order(dist)[_quantile_position(dist, eps)]])
 
 
 def exact_ess(dist: DiscreteDistribution, eps: float) -> int:
@@ -242,16 +280,18 @@ def exact_ess_bruteforce(dist: DiscreteDistribution, eps: float) -> int:
     the dropped mass stays within eps.
     """
     eps = _check_eps(eps)
-    ascending = np.sort(dist.probs[dist.probs > 0.0])
-    kept = int(ascending.size)
+    ascending = dist.probs[dist.probs > 0.0]
+    ascending.sort()
+    dropped = 0
     dropped_mass = 0.0
-    for p in ascending.tolist():
-        if dropped_mass + p <= eps:
+    # slices keep the Python floats to a fixed number at a time
+    for start in range(0, ascending.size, _BRUTEFORCE_SLICE):
+        for p in ascending[start : start + _BRUTEFORCE_SLICE].tolist():
+            if dropped_mass + p > eps:
+                return ascending.size - dropped
             dropped_mass += p
-            kept -= 1
-        else:
-            break
-    return kept
+            dropped += 1
+    return ascending.size - dropped
 
 
 # -- file formats ----------------------------------------------------------

@@ -10,12 +10,13 @@ calibration factor.
 
 Each stage is one oracle call: :meth:`DualOracle.order_statistic` draws the
 r stage-one samples and selects the quantile by rank in O(r), giving the
-same pivot a sort of the draws would; :meth:`DualOracle.inverse_prob_sum`
-returns the stage-two sum with the exact law of t draws in
-O(n - rank + runs) time, independent of t.  Both charge the full r (resp.
-t) SAMP and EVAL queries.  :func:`empirical_quantile` and
-:func:`inverse_prob_terms` are the draw-level definitions of the two
-statistics and serve as references.
+canonical position of the element a sort of the draws would select;
+:meth:`DualOracle.inverse_prob_sum` starts from that position and returns
+the stage-two sum with the exact law of t draws in O(runs above the pivot)
+time, independent of t and n.  Both charge the full r (resp. t) SAMP and
+EVAL queries.  :func:`empirical_quantile` and :func:`inverse_prob_terms` are
+the draw-level definitions of the two statistics, over labels, and serve as
+references.
 
 Everything the estimator learns about the distribution comes through the
 oracle handle, and probabilities are only ever taken for elements that
@@ -104,9 +105,9 @@ class EstimateResult:
     """Outcome of one estimator run.
 
     ``estimate`` is the calibrated output; ``raw_mean`` the plain stage-two
-    average it was derived from.  ``pivot`` is the stage-one (label, prob)
-    pair, or None on the degenerate path.  Query counters cover this run
-    only.
+    average it was derived from.  ``pivot`` is the stage-one (canonical
+    position, prob) pair, or None on the degenerate path.  Query counters
+    cover this run only.
     """
 
     estimate: float
@@ -171,7 +172,8 @@ def empirical_quantile(labels, probs, theta: float) -> tuple[int, float]:
 
 
 def select_pivot(oracle: DualOracle, params: EstimatorParams) -> tuple[int, float]:
-    """Run stage one: draw the pivot batch and return its quantile element."""
+    """Run stage one: draw the pivot batch and return the (canonical
+    position, prob) of its quantile element."""
     if params.is_degenerate:
         raise OutOfRangeError(
             "degenerate parameters: any single element is already a valid answer"

@@ -4,8 +4,10 @@ A :class:`DualOracle` answers batches of queries -- draw samples, or draw
 samples together with their own probabilities -- and probability lookups
 of single labels, while counting every query.  Draws go through an alias
 table whose slots are the canonical positions of the positive-probability
-elements, so a draw is a canonical rank; ``dist.order`` maps it to its
-element.  Draws are plain numpy pipelines.
+elements, so a draw is a canonical position; only the calls that return
+labels map positions to elements, through
+:func:`~ess_toolkit.distribution.canonical_order`.  Draws are plain numpy
+pipelines.
 
 Each draw consumes exactly one uniform double from the generator; the
 sample stream is therefore a function of (seed, number of draws) alone,
@@ -15,38 +17,39 @@ On top of the draws the oracle offers the two statistics the estimator
 needs, each charged as the full batch of probability-revealing queries it
 stands for:
 
-* :meth:`DualOracle.order_statistic` (stage one) draws r canonical ranks
-  from the stream and selects the k-th smallest in O(r) time and r*4
-  bytes.  It returns exactly the element that sorting the same draws by
-  (probability, label) would select, for every seed.
+* :meth:`DualOracle.order_statistic` (stage one) draws r canonical
+  positions from the stream and selects the k-th smallest in O(r) time and
+  r*4 bytes.  It returns the position of exactly the element that sorting
+  the same draws by (probability, label) would select, for every seed.
 * :meth:`DualOracle.inverse_prob_sum` (stage two) returns sum(1/p) over t
   draws that rank at or above a pivot without making the draws: it groups
   the elements at or above the pivot into runs of equal probability and
   draws one multinomial count vector over those runs plus one cell for the
   rest (Devroye, *Non-Uniform Random Variate Generation*, 1986).  That is
-  the law of t draws exactly.  The runs come from the distribution's
-  ``run_bounds``, built once with its canonical order, so the cost is a
-  bisect for the pivot's position plus O(runs above the pivot), one
-  binomial per run, independent of t and of n.
+  the law of t draws exactly.  The runs come from the distribution's run
+  index, built once with it, and the pivot is a canonical position, so the
+  cost is O(runs above the pivot), one binomial per run, independent of t
+  and of n.
 """
 
 from __future__ import annotations
 
-import bisect
 import operator
 
 import numpy as np
 
-from .distribution import DiscreteDistribution
+from .distribution import DiscreteDistribution, canonical_order
 from .errors import OutOfRangeError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Stage-one draws are made in fixed-size chunks; 64Ki keeps each chunk's
-# working set inside the CPU caches.  The chunk size never changes what is
-# drawn (one uniform per draw).
-_CHUNK = 1 << 16
+# Stage-one draws are made in fixed-size chunks whose work arrays (25 bytes
+# a draw) are allocated once per call.  32Ki keeps them inside the CPU
+# caches, and small enough that trials reuse freed heap memory instead of
+# faulting in fresh pages (CHANGES.md has the counts).  The chunk size never
+# changes what is drawn (one uniform per draw).
+_CHUNK = 1 << 15
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -100,8 +103,7 @@ class AliasTable:
     Slot j stands for canonical position ``first + j``, where ``first =
     dist.size - dist.support_size`` skips the zero-probability elements,
     which sort first.  :meth:`draw` returns canonical positions, each with
-    probability ``p / dist.total`` of the element at that position;
-    ``dist.order`` maps a position to its element.
+    probability ``p / dist.total`` of the element at that position.
 
     The build is Vose's sweep (Vose, IEEE TSE 1991) written as prefix sums.
     Slot weights are scaled to mean 1 and, in canonical order, ascend: the
@@ -120,12 +122,16 @@ class AliasTable:
         if size == 0:
             raise OutOfRangeError("cannot sample: no positive-probability element")
         first = dist.size - size
-        # normalize by the exact mass so the table encodes a true
-        # distribution even when the stored mass is off by the validator
-        # tolerance; scaling by a positive factor keeps the weights sorted
-        accept = dist.probs[dist.order[first:]]
+        # the positive runs, each value repeated over its run, are the
+        # sorted positive probabilities.  Normalize by the exact mass so the
+        # table encodes a true distribution even when the stored mass is off
+        # by the validator tolerance; scaling by a positive factor keeps the
+        # weights sorted
+        run = dist.run_of(first)
+        accept = np.repeat(dist.run_values[run:], np.diff(dist.run_bounds[run:]))
         accept *= size / dist.total
-        alias = np.arange(size, dtype=np.int32 if size <= _INT32_MAX else np.int64)
+        # positions are below dist.size: 4 bytes a slot when they fit
+        alias = np.arange(size, dtype=np.int32 if dist.size <= _INT32_MAX else np.int64)
         smalls = int(np.searchsorted(accept, 1.0, side="left"))
         larges = size - smalls
         # with no large slot every weight is 1 up to float noise: all accept
@@ -170,16 +176,38 @@ class AliasTable:
         self.accept = accept
         self.alias = alias
 
+    def scratch(self, count: int) -> tuple[np.ndarray, ...]:
+        """Work arrays for :meth:`fill` of up to ``count`` draws."""
+        return (
+            np.empty(count),
+            np.empty(count),
+            np.empty(count, dtype=np.intp),
+            np.empty(count, dtype=bool),
+        )
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray, scratch) -> None:
+        """Write ``out.size`` canonical positions into ``out`` (of
+        ``alias.dtype``), one uniform double each.  Every intermediate is
+        written into ``scratch``, from :meth:`scratch`: nothing is allocated.
+        """
+        u, accept, bucket, keep = (a[: out.size] for a in scratch)
+        rng.random(out=u)
+        u *= self.size
+        np.copyto(bucket, u, casting="unsafe")  # truncates, as u >= 0
+        np.minimum(bucket, self.size - 1, out=bucket)  # u*size may round up to size
+        u -= bucket  # the fractional part decides accept vs alias
+        # buckets are in range, and mode="clip" takes into ``out`` unbuffered
+        np.take(self.accept, bucket, out=accept, mode="clip")
+        np.less(u, accept, out=keep)
+        np.take(self.alias, bucket, out=out, mode="clip")
+        np.copyto(out, bucket, where=keep)
+        out += self.first
+
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` canonical positions, one uniform double each."""
-        u = rng.random(count)
-        v = u * self.size
-        bucket = v.astype(np.int64)
-        np.minimum(bucket, self.size - 1, out=bucket)  # u*size may round up to size
-        np.subtract(v, bucket, out=v)  # fractional part decides accept vs alias
-        slot = np.where(v < self.accept[bucket], bucket, self.alias[bucket])
-        slot += self.first
-        return slot
+        out = np.empty(count, dtype=self.alias.dtype)
+        self.fill(rng, out, self.scratch(count))
+        return out
 
 
 def sampler_table(dist: DiscreteDistribution) -> AliasTable:
@@ -224,7 +252,7 @@ class DualOracle:
         count = operator.index(count)
         if count < 0:
             raise OutOfRangeError("sample count must be nonnegative")
-        return self.dist.order[self._table.draw(self._rng, count)]
+        return canonical_order(self.dist)[self._table.draw(self._rng, count)]
 
     def samp_many(self, count: int) -> np.ndarray:
         """Draw ``count`` labels as a uint64 array; counts ``count`` SAMP queries."""
@@ -246,14 +274,15 @@ class DualOracle:
     # -- the estimator's two statistics -----------------------------------
 
     def order_statistic(self, count: int, k: int) -> tuple[int, float]:
-        """Draw ``count`` probability-revealing samples and return the (label,
-        prob) of the one at 0-based position ``k`` in canonical order.
+        """Draw ``count`` probability-revealing samples and return the
+        (canonical position, prob) of the one at 0-based position ``k`` in
+        canonical order.
 
         Counts ``count`` SAMP and ``count`` EVAL queries.  The draws are the
         ones :meth:`sample_with_prob_many` would make from the same stream
-        position, and the selected element is the one sorting them by
-        (probability, label) would put at position ``k``; the drawn
-        canonical ranks are partitioned instead of sorted.
+        position, and the selected position is that of the element sorting
+        them by (probability, label) would put at position ``k``; the drawn
+        positions are partitioned instead of sorted.
         """
         count = operator.index(count)
         k = operator.index(k)
@@ -261,31 +290,21 @@ class DualOracle:
             raise OutOfRangeError(f"order statistic {k} of {count} draws")
         dist = self.dist
         table = self._table
-        # canonical positions are below dist.size: 4 bytes a draw when it fits
-        ranks = np.empty(count, dtype=np.int32 if dist.size <= _INT32_MAX else np.int64)
+        # every work array is allocated once per call, not per chunk
+        positions = np.empty(count, dtype=table.alias.dtype)
+        scratch = table.scratch(min(count, _CHUNK))
         for start in range(0, count, _CHUNK):
-            stop = min(start + _CHUNK, count)
-            ranks[start:stop] = table.draw(self._rng, stop - start)
+            table.fill(self._rng, positions[start : start + _CHUNK], scratch)
         self.samp_count += count
         self.eval_count += count
-        ranks.partition(k)
-        index = int(dist.order[ranks[k]])
-        return int(dist.labels[index]), float(dist.probs[index])
-
-    def _canonical_position(self, pivot: tuple[int, float]) -> int:
-        """Number of elements that precede ``pivot`` in canonical order."""
-        dist = self.dist
-
-        def key(position: int) -> tuple[float, int]:
-            index = dist.order[position]
-            return float(dist.probs[index]), int(dist.labels[index])
-
-        target = (float(pivot[1]), operator.index(pivot[0]))
-        return bisect.bisect_left(range(dist.size), target, key=key)
+        positions.partition(k)
+        position = int(positions[k])
+        return position, float(dist.run_values[dist.run_of(position)])
 
     def inverse_prob_sum(self, count: int, pivot: tuple[int, float]) -> float:
-        """Sum of 1/prob over ``count`` probability-revealing draws that rank
-        at or above ``pivot`` in canonical order (draws below add 0).
+        """Sum of 1/prob over ``count`` probability-revealing draws at or
+        above canonical position ``pivot[0]`` (draws below add 0); ``pivot``
+        is a (position, prob) pair as :meth:`order_statistic` returns.
 
         Counts ``count`` SAMP and ``count`` EVAL queries.  The result has the
         law of summing :func:`~ess_toolkit.estimator.inverse_prob_terms` over
@@ -300,12 +319,12 @@ class DualOracle:
             raise OutOfRangeError("sample count must be nonnegative")
         dist = self.dist
         # zero-probability elements sort first and are never drawn
-        start = max(self._canonical_position(pivot), dist.size - dist.support_size)
+        start = max(operator.index(pivot[0]), dist.size - dist.support_size)
         # the run holding position ``start`` is counted from there, each
-        # later run in full; a pivot above every element leaves no run
+        # later run in full; a pivot past every element leaves no run
         bounds = dist.run_bounds
-        first = int(np.searchsorted(bounds, start, side="right")) - 1
-        values = dist.probs[dist.order[bounds[first:-1]]]
+        first = dist.run_of(start)
+        values = dist.run_values[first:]
         run_sizes = np.diff(np.maximum(bounds[first:], start))
         cells = run_sizes * values / dist.total
         # numpy draws every cell but the last as a binomial of the mass still

@@ -34,7 +34,7 @@ from ess_toolkit import (
     select_pivot,
 )
 
-from conftest import precedes, random_simplex_distribution
+from conftest import label_pivot, precedes, random_simplex_distribution
 
 FIXTURES = {
     "uniform_1e4": "uniform:n=10000",
@@ -163,7 +163,7 @@ def test_pivot_concentrates_between_exact_quantiles(fixture):
         hits = 0
         for i in range(1000):
             oracle = DualOracle(dist, derive_seed(888_000_111, i))
-            label, _ = select_pivot(oracle, params)
+            label, _ = label_pivot(dist, select_pivot(oracle, params))
             if not precedes(dist, label, low) and not precedes(dist, high, label):
                 hits += 1
         assert hits >= 850, f"pivot inside the exact quantile range {hits}/1000"

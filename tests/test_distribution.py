@@ -6,21 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ess_toolkit import (
+    MAX_EPS,
     DiscreteDistribution,
     DuplicateLabelError,
     MassNotOneError,
     NegativeProbabilityError,
     OutOfRangeError,
     UnknownLabelError,
+    canonical_order,
     exact_ess,
     exact_ess_bruteforce,
     exact_quantile,
     read_distribution,
     write_distribution,
 )
-from ess_toolkit.generators import GeneratorSpec, make_distribution
+from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
 
-from conftest import precedes, random_simplex_distribution, validate
+from conftest import precedes, random_simplex_distribution, traced_peak, validate
 
 A, B = 0, 1  # two-element label shorthand
 
@@ -33,7 +35,7 @@ class TestValidate:
     def test_symmetric_two_point(self):
         dist = validate({A: 0.5, B: 0.5})
         # equal probabilities: canonical order falls back to label order
-        assert dist.labels[dist.order].tolist() == [A, B]
+        assert dist.labels[canonical_order(dist)].tolist() == [A, B]
 
     def test_mass_not_one(self):
         with pytest.raises(MassNotOneError):
@@ -41,7 +43,7 @@ class TestValidate:
 
     def test_zero_prob_element_sorts_first(self):
         dist = validate({A: 1.0, B: 0.0})
-        assert dist.labels[dist.order].tolist() == [B, A]
+        assert dist.labels[canonical_order(dist)].tolist() == [B, A]
         assert dist.support_size == 1
         assert dist.size == 2
 
@@ -153,9 +155,10 @@ class TestExactQuantile:
             dist = random_simplex_distribution(rng)
             eps = float(rng.uniform(0.0, 0.9))
             label = exact_quantile(dist, eps)
-            pos = int(np.flatnonzero(dist.labels[dist.order] == label)[0])
-            mass_before = float(dist.cumulative[pos - 1]) if pos else 0.0
-            assert mass_before <= eps < float(dist.cumulative[pos])
+            cumulative = np.cumsum(np.sort(dist.probs))
+            pos = int(np.flatnonzero(dist.labels[canonical_order(dist)] == label)[0])
+            mass_before = float(cumulative[pos - 1]) if pos else 0.0
+            assert mass_before <= eps < float(cumulative[pos])
             assert dist.prob_of(label) > 0.0
 
 
@@ -238,10 +241,119 @@ class TestRunBounds:
             bounds = dist.run_bounds
             assert bounds[0] == 0 and bounds[-1] == dist.size
             assert np.all(np.diff(bounds) > 0)
-            sorted_probs = dist.probs[dist.order]
+            sorted_probs = np.sort(dist.probs)
+            assert np.array_equal(dist.run_values, sorted_probs[bounds[:-1]])
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 assert np.all(sorted_probs[lo:hi] == sorted_probs[lo])
             assert np.all(sorted_probs[bounds[1:-1]] != sorted_probs[bounds[1:-1] - 1])
+
+
+def element_cumulative(dist: DiscreteDistribution) -> np.ndarray:
+    """Prefix sums of the sorted probabilities, one per element."""
+    return np.cumsum(np.sort(dist.probs))
+
+
+def rounded_simplex(rng: np.random.Generator) -> DiscreteDistribution:
+    """Probabilities on a grid of 1/10**d: ties, and zeros where a cell
+    got no mass, with labels in shuffled order."""
+    n = int(rng.integers(1, 60))
+    scale = 10 ** int(rng.integers(1, 4))
+    counts = rng.multinomial(scale, rng.dirichlet(np.ones(n)))
+    labels = rng.permutation(n).astype(np.uint64)
+    return DiscreteDistribution(labels, counts / scale)
+
+
+class TestCanonicalOrder:
+    def test_is_lexsort_by_probability_then_label(self):
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            base = rounded_simplex(rng)  # ties and zeros
+            # an odd multiplier permutes the 64-bit integers: unique, scattered
+            labels = base.labels * np.uint64(0x9E3779B97F4A7C15)
+            dist = DiscreteDistribution(labels, base.probs)
+            want = np.lexsort((dist.labels, dist.probs))
+            assert np.array_equal(canonical_order(dist), want)
+
+
+BIT_IDENTITY_SOURCES = [
+    "uniform:n=10000",
+    "zipf:n=100000,s=1.0",
+    "geometric:n=1000,rho=0.99",
+    "two_tier:n=10000,h=10,H=0.9",
+    "two_tier:n=1000000,h=1000,H=0.5",
+]
+
+
+class TestRunIndexBitIdentity:
+    """The run index answers exactly as prefix sums over every element do."""
+
+    @staticmethod
+    def assert_matches_element_search(dist, levels, quantile_levels=()) -> None:
+        cumulative = element_cumulative(dist)
+        order = canonical_order(dist)
+        for eps in levels:
+            position = min(int(np.searchsorted(cumulative, eps, side="right")), dist.size - 1)
+            assert exact_ess(dist, eps) == dist.size - position, eps
+        for eps in quantile_levels:
+            position = min(int(np.searchsorted(cumulative, eps, side="right")), dist.size - 1)
+            assert exact_quantile(dist, eps) == int(dist.labels[order[position]]), eps
+
+    @staticmethod
+    def levels(dist, rng, count: int) -> list[float]:
+        # element prefix sums, where strictness decides, inside runs and at
+        # their ends; their neighbours; and a grid
+        sums = element_cumulative(dist)
+        ends = np.unique(np.concatenate([sums, dist.run_cumulative]))
+        ends = ends[ends < MAX_EPS]
+        picked = rng.choice(ends, size=min(count, ends.size), replace=False)
+        near = np.concatenate([picked, np.nextafter(picked, 0.0), np.nextafter(picked, 1.0)])
+        grid = np.linspace(0.0, 0.99, count)
+        return [float(x) for x in np.concatenate([near, grid]) if 0.0 <= x < MAX_EPS]
+
+    def test_run_cumulative_is_element_cumsum_at_run_ends(self):
+        rng = np.random.default_rng(31)
+        dists = [make_distribution(parse_spec(s)) for s in BIT_IDENTITY_SOURCES]
+        dists += [rounded_simplex(rng) for _ in range(90)]
+        for dist in dists:
+            want = element_cumulative(dist)[dist.run_bounds[1:] - 1]
+            assert dist.run_cumulative.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("source", BIT_IDENTITY_SOURCES)
+    def test_generated_sources(self, source):
+        dist = make_distribution(parse_spec(source))
+        rng = np.random.default_rng(32)
+        levels = self.levels(dist, rng, 100)
+        self.assert_matches_element_search(dist, levels, levels[:: len(levels) // 5])
+
+    def test_rounded_simplices_with_zeros(self):
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            dist = rounded_simplex(rng)
+            levels = self.levels(dist, rng, 20)
+            self.assert_matches_element_search(dist, levels, levels)
+
+
+class TestSetUpMemory:
+    # guards on the footprint: the distribution keeps its two input columns
+    # plus its run index, and neither set-up nor the brute-force reference
+    # holds a Python object per element
+    def test_constructor_traced_bytes_per_element(self):
+        base = make_distribution(parse_spec("two_tier:n=1000000,h=1000,H=0.5"))
+        n = base.size
+        # an odd multiplier permutes the 64-bit integers: unique, scattered
+        labels = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        probs = np.array(base.probs)
+        _, kept, peak = traced_peak(lambda: DiscreteDistribution(labels, probs))
+        assert kept <= 16 * n + (1 << 16)
+        assert peak <= 32 * n
+
+    def test_bruteforce_traced_transient(self):
+        dist = make_distribution(parse_spec("two_tier:n=1000000,h=1000,H=0.5"))
+        # the walk takes about 100k elements, several slices
+        ess, _, peak = traced_peak(lambda: exact_ess_bruteforce(dist, 0.05))
+        assert ess == exact_ess(dist, 0.05)
+        assert peak <= 16 * dist.size
+
 
 class TestZeroPadding:
     def test_padding_changes_nothing(self):
@@ -379,9 +491,9 @@ class TestImmutability:
         for arr in (
             dist.labels,
             dist.probs,
-            dist.order,
-            dist.cumulative,
             dist.run_bounds,
+            dist.run_values,
+            dist.run_cumulative,
         ):
             with pytest.raises(ValueError):
                 arr[0] = 0

@@ -21,7 +21,7 @@ from ess_toolkit import (
 )
 from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
 
-from conftest import precedes, validate
+from conftest import label_pivot, precedes, validate
 
 A, B = 0, 1
 
@@ -136,7 +136,7 @@ class TestInverseProbTerms:
         dist = make_distribution(GeneratorSpec("zipf", n=500, s=1.0))
         oracle = DualOracle(dist, seed=31)
         params = EstimatorParams(0.2, 0.2, 0.2)
-        pivot = select_pivot(oracle, params)
+        pivot = label_pivot(dist, select_pivot(oracle, params))
         labels, probs = oracle.sample_with_prob_many(100_000)
         terms = inverse_prob_terms(labels, probs, pivot)
         assert np.all(terms >= 0.0)
@@ -161,7 +161,7 @@ class TestSelectPivot:
         hits = 0
         for i in range(300):
             oracle = DualOracle(dist, derive_seed(424242, i))
-            label, _ = select_pivot(oracle, params)
+            label, _ = label_pivot(dist, select_pivot(oracle, params))
             if not precedes(dist, label, low) and not precedes(dist, high, label):
                 hits += 1
         assert hits >= 255  # 85% of 300
@@ -346,7 +346,7 @@ class TestStatisticsMatchDrawReference:
             labels, probs = reference.sample_with_prob_many(r_size)
             oracle = DualOracle(dist, seed)
             pivot = select_pivot(oracle, params)
-            assert pivot == empirical_quantile(labels, probs, theta)
+            assert label_pivot(dist, pivot) == empirical_quantile(labels, probs, theta)
             assert oracle.query_counts() == reference.query_counts()
             # the draws left the stream where the reference left it
             assert np.array_equal(oracle.samp_many(8), reference.samp_many(8))
@@ -360,7 +360,8 @@ class TestStatisticsMatchDrawReference:
             order = np.lexsort((labels, probs))
             for k in (0, 1, 137, 250, 498, 499):
                 expected = (int(labels[order[k]]), float(probs[order[k]]))
-                assert DualOracle(dist, seed).order_statistic(500, k) == expected
+                pivot = DualOracle(dist, seed).order_statistic(500, k)
+                assert label_pivot(dist, pivot) == expected
 
     @pytest.mark.parametrize(
         "source", ["zipf:n=1000,s=1.0", "two_tier:n=10000,h=10,H=0.9"]
@@ -368,7 +369,7 @@ class TestStatisticsMatchDrawReference:
     def test_stage_two_law_matches_stream_draws(self, source):
         dist = make_distribution(parse_spec(source))
         label = exact_quantile(dist, 0.2)
-        pivot = (label, dist.prob_of(label))
+        pivot = (dist.size - exact_ess(dist, 0.2), dist.prob_of(label))
         t_size = 2000
         counts_means = []
         stream_means = []
@@ -377,7 +378,8 @@ class TestStatisticsMatchDrawReference:
             counts_means.append(oracle.inverse_prob_sum(t_size, pivot) / t_size)
             reference = DualOracle(dist, derive_seed(9_400_000, i))
             labels, probs = reference.sample_with_prob_many(t_size)
-            stream_means.append(float(inverse_prob_terms(labels, probs, pivot).mean()))
+            terms = inverse_prob_terms(labels, probs, label_pivot(dist, pivot))
+            stream_means.append(float(terms.mean()))
         assert stats.ks_2samp(counts_means, stream_means).pvalue > 0.01
 
     def test_stage_two_mean_within_exact_standard_error(self):
@@ -385,10 +387,9 @@ class TestStatisticsMatchDrawReference:
         # variance is sum(1/p) over them minus the count squared
         dist = make_distribution(GeneratorSpec("zipf", n=100_000, s=1.0))
         eps = 0.2
-        label = exact_quantile(dist, eps)
-        pivot = (label, dist.prob_of(label))
         ess = exact_ess(dist, eps)
-        above = dist.probs[dist.order[dist.size - ess:]]
+        pivot = (dist.size - ess, dist.prob_of(exact_quantile(dist, eps)))
+        above = np.sort(dist.probs)[dist.size - ess:]
         t_size = 10**9
         stderr = math.sqrt((float(np.sum(1.0 / above)) - ess**2) / t_size)
         oracle = DualOracle(dist, seed=9_500_000)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,7 +17,7 @@ from ess_toolkit.generators import (
 )
 from ess_toolkit.oracle import AliasTable, sampler_table
 
-from conftest import random_simplex_distribution, validate
+from conftest import label_pivot, random_simplex_distribution, traced_peak, validate
 
 A, B = 0, 1
 
@@ -222,7 +220,7 @@ def assert_table_encodes(dist) -> None:
     element's probability."""
     table = AliasTable(dist)
     assert np.all((table.accept >= 0.0) & (table.accept <= 1.0))
-    want = dist.probs[dist.order[table.first :]] / dist.total
+    want = np.sort(dist.probs)[table.first :] / dist.total
     assert np.allclose(table_mass(table) / table.size, want, rtol=1e-9, atol=0.0)
 
 
@@ -276,7 +274,7 @@ class TestAliasTableDraws:
         assert table.first == 20
         assert positions.min() >= table.first and positions.max() < dist.size
         counts = np.bincount(positions - table.first, minlength=table.size)
-        expected = dist.probs[dist.order[table.first :]] / dist.total * counts.sum()
+        expected = np.sort(dist.probs)[table.first :] / dist.total * counts.sum()
         expected *= counts.sum() / expected.sum()
         assert stats.chisquare(counts, expected).pvalue > 1e-6
 
@@ -288,12 +286,7 @@ class TestAliasTableMemory:
     def test_traced_bytes_per_element(self):
         dist = make_distribution(parse_spec("two_tier:n=1000000,h=1000,H=0.5"))
         n = dist.support_size
-        tracemalloc.start()
-        try:
-            table = AliasTable(dist)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        table, kept, peak = traced_peak(lambda: AliasTable(dist))
         assert table.accept.nbytes + table.alias.nbytes == 12 * n
         # plus the object, the array headers and interpreter bookkeeping
         assert kept <= 12 * n + (1 << 16)
@@ -335,14 +328,16 @@ class TestOrderStatistic:
         order = np.lexsort((labels, probs))
         for k in (0, 70_000, count - 1):
             expected = (int(labels[order[k]]), float(probs[order[k]]))
-            assert DualOracle(dist, seed=3).order_statistic(count, k) == expected
+            pivot = DualOracle(dist, seed=3).order_statistic(count, k)
+            assert label_pivot(dist, pivot) == expected
 
     def test_scattered_labels(self):
         dist = validate({2**63 + 9: 0.5, 17: 0.25, 2**40: 0.25})
         labels, probs = DualOracle(dist, seed=4).sample_with_prob_many(99)
         order = np.lexsort((labels, probs))
         expected = (int(labels[order[60]]), float(probs[order[60]]))
-        assert DualOracle(dist, seed=4).order_statistic(99, 60) == expected
+        pivot = DualOracle(dist, seed=4).order_statistic(99, 60)
+        assert label_pivot(dist, pivot) == expected
 
     def test_position_range_checked(self):
         oracle = DualOracle(point_mass(), seed=1)
@@ -359,7 +354,8 @@ class TestInverseProbSum:
         assert oracle.query_counts() == (12345, 12345)
 
     def test_pivot_tie_counts_from_its_label(self):
-        # every element ties; the pivot label and the larger ones count
+        # every element ties, so label i sits at canonical position i; the
+        # pivot's position and the later ones count
         dist = make_distribution(GeneratorSpec("uniform", n=8))
         oracle = DualOracle(dist, seed=3)
         total = oracle.inverse_prob_sum(100_000, (5, 0.125))
@@ -388,7 +384,7 @@ class TestInverseProbSum:
 
     def test_deterministic_given_seed(self):
         dist = make_distribution(GeneratorSpec("geometric", n=500, rho=0.99))
-        pivot = (250, dist.prob_of(250))
+        pivot = (250, float(np.sort(dist.probs)[250]))
         first = DualOracle(dist, seed=7).inverse_prob_sum(10**7, pivot)
         second = DualOracle(dist, seed=7).inverse_prob_sum(10**7, pivot)
         assert first == second
@@ -396,7 +392,7 @@ class TestInverseProbSum:
 
 def suffix_scan_inverse_prob_sum(oracle, count, pivot) -> float:
     """Stage two with its runs found by scanning every element at or above
-    the pivot.
+    the pivot's canonical position.
 
     :meth:`DualOracle.inverse_prob_sum` reads the same runs from
     ``dist.run_bounds`` and must match this bit for bit: the same
@@ -404,8 +400,8 @@ def suffix_scan_inverse_prob_sum(oracle, count, pivot) -> float:
     charged.
     """
     dist = oracle.dist
-    start = max(oracle._canonical_position(pivot), dist.size - dist.support_size)
-    probs = dist.probs[dist.order[start:]]
+    start = max(pivot[0], dist.size - dist.support_size)
+    probs = np.sort(dist.probs)[start:]
     run_start = np.empty(probs.size, dtype=bool)
     run_start[:1] = True
     np.not_equal(probs[1:], probs[:-1], out=run_start[1:])
@@ -421,18 +417,15 @@ def suffix_scan_inverse_prob_sum(oracle, count, pivot) -> float:
 def reference_pivots(dist) -> list[tuple[int, float]]:
     """Pivots at the start, middle and end of every run of equal
     probability (zero-probability ones included), at the first positive
-    element, and one above every element."""
-    sorted_probs = dist.probs[dist.order]
+    element, and one past every element."""
+    sorted_probs = np.sort(dist.probs)
     starts = np.flatnonzero(np.r_[True, sorted_probs[1:] != sorted_probs[:-1]])
     ends = np.r_[starts[1:], dist.size] - 1
     positions = {dist.size - dist.support_size}
     for lo, hi in zip(starts.tolist(), ends.tolist()):
         positions |= {lo, (lo + hi) // 2, hi}
-    pivots = [
-        (int(dist.labels[dist.order[p]]), float(sorted_probs[p]))
-        for p in sorted(positions)
-    ]
-    return pivots + [(2**64 - 1, 1.0)]
+    pivots = [(p, float(sorted_probs[p])) for p in sorted(positions)]
+    return pivots + [(dist.size, 1.0)]
 
 
 class TestRunIndexMatchesSuffixScan:
@@ -467,14 +460,9 @@ class TestInverseProbSumAllocation:
     )
     def test_traced_peak_is_independent_of_n(self, spec):
         dist = make_distribution(parse_spec(spec))
-        index = int(dist.order[dist.size // 5])
-        pivot = (int(dist.labels[index]), float(dist.probs[index]))
+        position = dist.size // 5
+        pivot = (position, float(dist.run_values[dist.run_of(position)]))
         oracle = DualOracle(dist, seed=12)
-        tracemalloc.start()
-        try:
-            total = oracle.inverse_prob_sum(10**6, pivot)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        total, _, peak = traced_peak(lambda: oracle.inverse_prob_sum(10**6, pivot))
         assert total > 0.0
         assert peak < 1 << 20
