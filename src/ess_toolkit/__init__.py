@@ -38,13 +38,7 @@ from .estimator import (
     sample_sizes,
     select_pivot,
 )
-from .generators import (
-    FAMILIES,
-    GeneratorSpec,
-    make_distribution,
-    parse_spec,
-    spec_string,
-)
+from .generators import FAMILIES, GeneratorSpec, make_distribution, parse_spec
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -94,7 +88,6 @@ __all__ = [
     "estimate_ess_unicriterion",
     "make_distribution",
     "parse_spec",
-    "spec_string",
     "band_endpoints",
     "load_distribution",
     "run_experiment",

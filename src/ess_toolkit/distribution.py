@@ -95,9 +95,7 @@ class DiscreteDistribution:
         "run_values",
         "run_cumulative",
         "total",
-        "_support_size",
-        "_derived",
-        "__weakref__",
+        "_alias_table",
     )
 
     def __init__(self, labels, probs) -> None:
@@ -142,8 +140,8 @@ class DiscreteDistribution:
         self.probs = prob_arr
         self.run_bounds = run_bounds
         self.total = total
-        self._support_size = int(np.count_nonzero(prob_arr))
-        self._derived: dict[str, object] = {}
+        # the oracle's sampler, built on first use by ``oracle.sampler_table``
+        self._alias_table = None
 
         for arr in (
             self.labels,
@@ -181,7 +179,9 @@ class DiscreteDistribution:
     @property
     def support_size(self) -> int:
         """Number of elements with positive probability."""
-        return self._support_size
+        # zero-probability elements, if any, form the first run
+        zeros = int(self.run_bounds[1]) if self.run_values[0] == 0.0 else 0
+        return self.size - zeros
 
     def prob_of(self, label) -> float:
         """Exact stored probability of ``label``, found by a scan of the labels.
@@ -203,13 +203,6 @@ class DiscreteDistribution:
         """Index of the run holding canonical ``position``; ``len(run_values)``
         for a position at or past ``size``."""
         return int(np.searchsorted(self.run_bounds, position, side="right")) - 1
-
-    def _cached(self, key: str, build):
-        value = self._derived.get(key)
-        if value is None:
-            value = build()
-            self._derived[key] = value
-        return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -300,36 +293,32 @@ _CSV_HEADER = ["label", "prob"]
 _CSV_ROW = [("label", np.uint64), ("prob", np.float64)]
 
 
-def write_distribution(dist: DiscreteDistribution, path, fmt: str | None = None) -> None:
+def write_distribution(dist: DiscreteDistribution, path) -> None:
     """Write a distribution file (CSV with a label,prob header, or JSON).
 
-    The format is inferred from the path suffix unless ``fmt`` is given.
+    The path's suffix, ``.csv`` or ``.json``, decides the format.
     Probabilities are written in Python's shortest round-trip form
     (``repr``), so a read-back reproduces them bit-exactly.
     """
-    fmt = fmt or _infer_format(path)
-    if fmt == "csv":
+    if _infer_format(path) == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_CSV_HEADER)
             writer.writerows(dist.to_pairs())  # the csv module writes floats by repr
-    elif fmt == "json":
-        # one f-string per row: json.dump to a file streams through the
-        # pure-Python encoder, about 2.5 times slower at 1e6 rows
-        rows = ",\n".join(
-            f'  {{"label": {label}, "prob": {prob!r}}}'
-            for label, prob in dist.to_pairs()
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("[\n" + rows + "\n]\n")
-    else:
-        raise OutOfRangeError(f"unknown distribution file format {fmt!r}")
+        return
+    # one f-string per row: json.dump to a file streams through the
+    # pure-Python encoder, about 2.5 times slower at 1e6 rows
+    rows = ",\n".join(
+        f'  {{"label": {label}, "prob": {prob!r}}}' for label, prob in dist.to_pairs()
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[\n" + rows + "\n]\n")
 
 
-def read_distribution(path, fmt: str | None = None) -> DiscreteDistribution:
-    """Read and validate a distribution file written by :func:`write_distribution`."""
-    fmt = fmt or _infer_format(path)
-    if fmt == "csv":
+def read_distribution(path) -> DiscreteDistribution:
+    """Read and validate a distribution file written by :func:`write_distribution`;
+    the path's suffix decides the format."""
+    if _infer_format(path) == "csv":
         # a bad byte past the header is left to the row check below
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             try:
@@ -369,18 +358,14 @@ def read_distribution(path, fmt: str | None = None) -> DiscreteDistribution:
                 where or f"CSV: expected label,prob rows ({exc})"
             ) from None
         return DiscreteDistribution(rows["label"], rows["prob"])
-    if fmt == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                rows = json.load(fh)
-            except RecursionError:
-                raise OutOfRangeError("distribution JSON is nested too deeply") from None
-        if not isinstance(rows, list):
-            raise OutOfRangeError("distribution JSON must be an array of objects")
-        return DiscreteDistribution.from_pairs(
-            _json_pair(row, i) for i, row in enumerate(rows)
-        )
-    raise OutOfRangeError(f"unknown distribution file format {fmt!r}")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            rows = json.load(fh)
+        except RecursionError:
+            raise OutOfRangeError("distribution JSON is nested too deeply") from None
+    if not isinstance(rows, list):
+        raise OutOfRangeError("distribution JSON must be an array of objects")
+    return DiscreteDistribution.from_pairs(_json_pair(row, i) for i, row in enumerate(rows))
 
 
 def _is_ascii(path) -> bool:
@@ -426,10 +411,11 @@ def _json_pair(row, index: int) -> tuple:
             f"JSON row {index}: expected an object with label and prob, got {row!r:.60}"
         )
     label, prob = row["label"], row["prob"]
-    # JSON true and false are Python bools, which int and float accept as 1 and 0
-    if isinstance(label, bool) or isinstance(prob, bool):
+    # JSON numbers only: int and float would take a JSON true or false as 1
+    # or 0, and float a string such as "0.5"
+    if type(label) not in (int, float) or type(prob) not in (int, float):
         raise OutOfRangeError(
-            f"JSON row {index}: label and prob must be numbers, not true or false"
+            f"JSON row {index}: label and prob must be numbers, got {row!r:.60}"
         )
     return label, prob
 

@@ -107,14 +107,12 @@ class EstimateResult:
     ``estimate`` is the calibrated output; ``raw_mean`` the plain stage-two
     average it was derived from.  ``pivot`` is the stage-one (canonical
     position, prob) pair, or None on the degenerate path.  Query counters
-    cover this run only.
+    cover this run only; :func:`sample_sizes` gives the stage sizes.
     """
 
     estimate: float
     raw_mean: float
     pivot: tuple[int, float] | None
-    quantile_sample_size: int
-    estimator_sample_size: int
     samp_queries: int
     eval_queries: int
 
@@ -211,9 +209,9 @@ def estimate_ess(oracle: DualOracle, params: EstimatorParams) -> EstimateResult:
     ``params.gamma`` is None, the one at level eps itself.
     """
     if params.is_degenerate:
-        return EstimateResult(1.0, 1.0, None, 0, 0, 0, 0)  # no pivot, no queries
+        return EstimateResult(1.0, 1.0, None, 0, 0)  # no pivot, no queries
     samp_before, eval_before = oracle.query_counts()
-    r_size, t_size = sample_sizes(params)
+    _, t_size = sample_sizes(params)
     pivot = select_pivot(oracle, params)
     raw_mean = oracle.inverse_prob_sum(t_size, pivot) / t_size
     estimate = (1.0 + params.gamma_eff / 2.0) * raw_mean
@@ -225,8 +223,6 @@ def estimate_ess(oracle: DualOracle, params: EstimatorParams) -> EstimateResult:
         estimate=estimate,
         raw_mean=raw_mean,
         pivot=pivot,
-        quantile_sample_size=r_size,
-        estimator_sample_size=t_size,
         samp_queries=samp_after - samp_before,
         eval_queries=eval_after - eval_before,
     )

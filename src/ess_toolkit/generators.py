@@ -118,13 +118,11 @@ def parse_spec(text: str) -> GeneratorSpec:
             key = key.strip()
             value = value.strip()
             _require(bool(sep), f"malformed generator parameter {item!r}")
+            name = _INT_KEYS.get(key) or _FLOAT_KEYS.get(key)
+            _require(name is not None, f"unknown generator parameter {key!r}")
+            _require(name not in kwargs, f"generator parameter {key!r} given twice")
             try:
-                if key in _INT_KEYS:
-                    kwargs[_INT_KEYS[key]] = int(value, 10)
-                elif key in _FLOAT_KEYS:
-                    kwargs[_FLOAT_KEYS[key]] = float(value)
-                else:
-                    _require(False, f"unknown generator parameter {key!r}")
+                kwargs[name] = int(value, 10) if key in _INT_KEYS else float(value)
             except ValueError:
                 raise OutOfRangeError(
                     f"bad value {value!r} for generator parameter {key!r}"
@@ -133,18 +131,3 @@ def parse_spec(text: str) -> GeneratorSpec:
     _check_spec(spec)
     return spec
 
-
-def spec_string(spec: GeneratorSpec) -> str:
-    """Inverse of :func:`parse_spec` (omits defaults)."""
-    parts = [f"n={spec.n}"]
-    if spec.s is not None:
-        parts.append(f"s={spec.s:.17g}")
-    if spec.rho is not None:
-        parts.append(f"rho={spec.rho:.17g}")
-    if spec.h is not None:
-        parts.append(f"h={spec.h}")
-    if spec.heavy_mass is not None:
-        parts.append(f"H={spec.heavy_mass:.17g}")
-    if spec.zero_pad:
-        parts.append(f"pad={spec.zero_pad}")
-    return f"{spec.family}:{','.join(parts)}"

@@ -24,13 +24,7 @@ from .distribution import (
 )
 from .errors import OutOfRangeError
 from .estimator import EstimatorParams, estimate_ess
-from .generators import (
-    FAMILIES,
-    GeneratorSpec,
-    make_distribution,
-    parse_spec,
-    spec_string,
-)
+from .generators import FAMILIES, make_distribution, parse_spec
 from .oracle import DualOracle, derive_seed
 
 MODES = ("bicriteria", "unicriterion")
@@ -48,12 +42,12 @@ _TIMING_FIELDS = frozenset({"wall_time_ns"})
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
-    ``dist_source`` is a distribution file path, a generator string such as
-    ``zipf:n=100000,s=1.0``, or a :class:`GeneratorSpec`.  ``gamma`` is
-    required in bicriteria mode and ignored in unicriterion mode.
+    ``dist_source`` is a distribution file path or a generator string such
+    as ``zipf:n=100000,s=1.0``.  ``gamma`` is required in bicriteria mode
+    and ignored in unicriterion mode.
     """
 
-    dist_source: str | os.PathLike | GeneratorSpec
+    dist_source: str | os.PathLike
     eps: float
     beta: float
     gamma: float | None
@@ -65,10 +59,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # a distribution object would reach the report only as its repr
-        if not isinstance(self.dist_source, (str, os.PathLike, GeneratorSpec)):
+        if not isinstance(self.dist_source, (str, os.PathLike)):
             raise OutOfRangeError(
-                "dist_source must be a file path, a generator string or a "
-                f"GeneratorSpec, got {type(self.dist_source).__name__}"
+                "dist_source must be a file path or a generator string, "
+                f"got {type(self.dist_source).__name__}"
             )
         if self.mode not in MODES:
             raise OutOfRangeError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -141,8 +135,6 @@ def _params(eps, beta, gamma, mode: str) -> EstimatorParams:
 
 def load_distribution(source) -> DiscreteDistribution:
     """Resolve a config ``dist_source`` into a validated distribution."""
-    if isinstance(source, GeneratorSpec):
-        return make_distribution(source)
     text = os.fspath(source)
     family = text.partition(":")[0]
     if family in FAMILIES:
@@ -215,10 +207,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     if config.out_path is not None:
         # fail before any trial runs; the writer still names the report if
         # the directory goes away during the run
-        directory = os.path.dirname(os.path.abspath(config.out_path))
+        path = os.fspath(config.out_path)
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
-            raise OSError(code, os.strerror(code), os.fspath(config.out_path))
+            raise OSError(code, os.strerror(code), path)
     dist = load_distribution(config.dist_source)
     band_low, band_high, ess_eps, ess_relaxed = band_endpoints(
         dist, config.eps, config.beta, config.gamma, config.mode
@@ -294,10 +289,7 @@ def _field_dict(record) -> dict:
 
 def _config_dict(config: ExperimentConfig) -> dict:
     out = _field_dict(config)
-    source = config.dist_source
-    out["dist_source"] = (
-        spec_string(source) if isinstance(source, GeneratorSpec) else os.fspath(source)
-    )
+    out["dist_source"] = os.fspath(config.dist_source)
     if config.mode != "bicriteria":
         # unicriterion ignores gamma, which may then be any float, inf included
         out["gamma"] = None

@@ -211,8 +211,10 @@ class AliasTable:
 
 
 def sampler_table(dist: DiscreteDistribution) -> AliasTable:
-    """Alias table for ``dist``, built once and cached on the distribution."""
-    return dist._cached("alias_table", lambda: AliasTable(dist))
+    """Alias table for ``dist``, built once and kept on the distribution."""
+    if dist._alias_table is None:
+        dist._alias_table = AliasTable(dist)
+    return dist._alias_table
 
 
 class DualOracle:

@@ -163,6 +163,16 @@ class TestExact:
                 '[{"label": 0, "prob": 0.0}, {"label": 1, "prob": true}]',
                 "JSON row 1",
             ),
+            (
+                "string_prob.json",
+                '[{"label": 1, "prob": "0.5"}, {"label": 2, "prob": "5e-1"}]',
+                "JSON row 0",
+            ),
+            (
+                "null_prob.json",
+                '[{"label": 0, "prob": 1.0}, {"label": 1, "prob": null}]',
+                "JSON row 1",
+            ),
             pytest.param(
                 "huge_field.csv",
                 'label,prob\n0,0.5\n"' + "1" * 200_000 + '",0.5\n',
@@ -357,6 +367,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert os.path.join("missing", "r.json") in err
         assert ".tmp" not in err
+
+    def test_report_path_naming_a_directory_fails_before_loading(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def fail(source):
+            raise AssertionError(f"{source} was loaded")
+
+        monkeypatch.setattr("ess_toolkit.harness.load_distribution", fail)
+        assert main(run_argv(tmp_path)) == 1
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("parent", ["missing", "file.txt"])
     def test_report_directory_is_checked_before_loading(

@@ -313,9 +313,8 @@ class TestProbabilityRevealingDiscipline:
     def test_unicriterion_same_discipline(self):
         dist = make_distribution(GeneratorSpec("uniform", n=50))
         oracle = RecordingOracle(dist, seed=45)
-        result = estimate_ess_unicriterion(oracle, eps=0.5, beta=0.2)
-        r_size = result.quantile_sample_size
-        t_size = result.estimator_sample_size
+        estimate_ess_unicriterion(oracle, eps=0.5, beta=0.2)
+        r_size, t_size = sample_sizes(EstimatorParams(0.5, 0.2))
         assert oracle.calls == [
             ("order_statistic", r_size, (r_size, r_size)),
             ("inverse_prob_sum", t_size, (t_size, t_size)),
@@ -421,8 +420,7 @@ class TestUnicriterion:
         # inner beta 0.1, gamma 0.05
         r_expected = math.ceil(180 / (0.1**2 * 0.5))
         t_expected = 4_000_000  # 500 / (0.5 * 0.1 * 0.05**2)
-        assert result.quantile_sample_size == r_expected
-        assert result.estimator_sample_size == t_expected
+        assert sample_sizes(EstimatorParams(0.5, 0.2)) == (r_expected, t_expected)
         assert result.samp_queries == r_expected + t_expected
 
     def test_estimate_is_rescaled_calibrated_mean(self):

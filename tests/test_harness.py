@@ -71,10 +71,12 @@ class TestConfigValidation:
         assert uni.params == EstimatorParams(0.2, 0.2)
 
     def test_dist_source_must_reproduce_the_run(self):
-        # a distribution object cannot be written back as a source
-        dist = make_distribution(GeneratorSpec("uniform", n=5))
-        with pytest.raises(OutOfRangeError, match="dist_source"):
-            small_config(dist_source=dist)
+        # a distribution object cannot be written back as a source, and a
+        # spec object is not a source: its string form is
+        spec = GeneratorSpec("uniform", n=5)
+        for source in (make_distribution(spec), spec):
+            with pytest.raises(OutOfRangeError, match="dist_source"):
+                small_config(dist_source=source)
 
     def test_master_seed_range(self):
         # derive_seed reduces modulo 2**64, so -1 and 2**64-1 would alias
@@ -89,10 +91,6 @@ class TestLoadDistribution:
     def test_generator_string(self):
         dist = load_distribution("uniform:n=7")
         assert dist.size == 7
-
-    def test_generator_spec(self):
-        dist = load_distribution(GeneratorSpec("uniform", n=3))
-        assert dist.size == 3
 
     def test_file_path(self, tmp_path):
         path = tmp_path / "d.csv"

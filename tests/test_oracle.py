@@ -9,12 +9,7 @@ from ess_toolkit import (
     UnknownLabelError,
     derive_seed,
 )
-from ess_toolkit.generators import (
-    GeneratorSpec,
-    make_distribution,
-    parse_spec,
-    spec_string,
-)
+from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
 from ess_toolkit.oracle import AliasTable, sampler_table
 
 from conftest import label_pivot, random_simplex_distribution, traced_peak, validate
@@ -228,19 +223,18 @@ class TestAliasTable:
     @pytest.mark.parametrize(
         "spec",
         [
-            GeneratorSpec("zipf", n=10**6, s=1.0),
-            GeneratorSpec("zipf", n=10**6, s=2.0),
-            GeneratorSpec("geometric", n=10**5, rho=0.999),
-            GeneratorSpec("two_tier", n=10**6, h=1, heavy_mass=0.5),
-            GeneratorSpec("two_tier", n=10**6, h=1000, heavy_mass=0.5),
-            GeneratorSpec("uniform", n=1000),  # no small slot
-            GeneratorSpec("point_mass", n=1),
-            GeneratorSpec("uniform", n=8, zero_pad=100),
+            "zipf:n=1000000,s=1",
+            "zipf:n=1000000,s=2",
+            "geometric:n=100000,rho=0.999",
+            "two_tier:n=1000000,h=1,H=0.5",
+            "two_tier:n=1000000,h=1000,H=0.5",
+            "uniform:n=1000",  # no small slot
+            "point_mass:n=1",
+            "uniform:n=8,pad=100",
         ],
-        ids=lambda spec: spec_string(spec),
     )
     def test_slot_masses_match_probabilities(self, spec):
-        assert_table_encodes(make_distribution(spec))
+        assert_table_encodes(make_distribution(parse_spec(spec)))
 
     def test_random_simplex_masses(self):
         rng = np.random.default_rng(2)
@@ -345,6 +339,61 @@ class TestOrderStatistic:
             with pytest.raises(OutOfRangeError):
                 oracle.order_statistic(count, k)
         assert oracle.query_counts() == (0, 0)
+
+
+def order_statistic_cdf(dist, count: int, k: int) -> np.ndarray:
+    """P(the k-th smallest (0-based) of ``count`` draws sits at canonical
+    position <= j), for every j: at least k+1 draws land at or below j, each
+    with probability F_j, the mass through position j.  F_j is clipped to
+    [0, 1]: at the end it can be an ulp above 1, where ``binom.sf`` is NaN."""
+    mass = np.clip(np.cumsum(np.sort(dist.probs)) / dist.total, 0.0, 1.0)
+    return stats.binom.sf(k, count, mass)
+
+
+def chi_square_pvalue(positions: np.ndarray, cdf: np.ndarray) -> float:
+    """Chi-square of observed positions against an exact position law, with
+    neighbouring positions pooled until each cell expects at least 5."""
+    observed = np.bincount(positions, minlength=cdf.size)
+    expected = np.diff(cdf, prepend=0.0) * positions.size
+    cells_observed, cells_expected = [], []
+    seen = want = 0.0
+    for got, mean in zip(observed.tolist(), expected.tolist()):
+        seen += got
+        want += mean
+        if want >= 5.0:
+            cells_observed.append(seen)
+            cells_expected.append(want)
+            seen = want = 0.0
+    cells_observed[-1] += seen
+    cells_expected[-1] += want
+    assert len(cells_expected) > 2, "the law is too concentrated to test"
+    cells_expected = np.asarray(cells_expected)
+    cells_expected *= positions.size / cells_expected.sum()
+    return float(stats.chisquare(cells_observed, cells_expected).pvalue)
+
+
+class TestOrderStatisticLaw:
+    # stage one's pivot against its exact law, computed from the whole
+    # distribution; nothing here depends on how the draws are made
+    @pytest.mark.parametrize("count", [20, 200])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "two_tier:n=60,h=20,H=0.5",  # two runs of tied probabilities
+            "zipf:n=60,s=0.5,pad=20",  # zero-probability elements sort first
+        ],
+    )
+    def test_positions_follow_the_binomial_law(self, spec, count):
+        dist = make_distribution(parse_spec(spec))
+        for k in (count // 10, count // 2, count * 9 // 10):
+            # seeds of their own for each (count, k): runs that shared their
+            # draws would share their chance deviations
+            seeds = [derive_seed(1000 * count + k, i) for i in range(2000)]
+            positions = np.array(
+                [DualOracle(dist, seed).order_statistic(count, k)[0] for seed in seeds]
+            )
+            pvalue = chi_square_pvalue(positions, order_statistic_cdf(dist, count, k))
+            assert pvalue > 1e-4, (k, pvalue)
 
 
 class TestInverseProbSum:
