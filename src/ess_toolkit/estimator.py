@@ -117,23 +117,29 @@ class EstimateResult:
     eval_queries: int
 
 
-def _ceil_sample_size(value: float) -> int:
+def _ceil_sample_size(name: str, constant: float, denominator: float) -> int:
+    # a denominator that underflows to 0 asks for infinitely many draws
+    value = constant / denominator if denominator else math.inf
     # ceiling with a relative guard: decimal parameters often put the exact
     # result a few ulp past an integer, which must not bump the size by one
-    return max(1, int(math.ceil(value * (1.0 - 1e-12))))
+    value *= 1.0 - 1e-12
+    if not value <= np.iinfo(np.int64).max:
+        raise OutOfRangeError(f"{name} = {value:.3g} does not fit a signed 64-bit count")
+    return max(1, int(math.ceil(value)))
 
 
 def sample_sizes(params: EstimatorParams) -> tuple[int, int]:
-    """Stage sizes (pivot batch, averaging batch).
+    """Stage sizes (pivot batch r, averaging batch t).
 
     Both depend only on (eps, stage_beta, gamma_eff) -- never on the
-    distribution being queried.
+    distribution being queried.  Raises OutOfRangeError naming r or t when
+    a size is not finite or does not fit a signed 64-bit count.
     """
     eps = params.eps
     beta = params.stage_beta
     gamma = params.gamma_eff
-    r_size = _ceil_sample_size(PIVOT_SAMPLE_CONSTANT / (beta * beta * eps))
-    t_size = _ceil_sample_size(MEAN_SAMPLE_CONSTANT / (eps * beta * gamma * gamma))
+    r_size = _ceil_sample_size("r", PIVOT_SAMPLE_CONSTANT, beta * beta * eps)
+    t_size = _ceil_sample_size("t", MEAN_SAMPLE_CONSTANT, eps * beta * gamma * gamma)
     return r_size, t_size
 
 

@@ -23,7 +23,7 @@ from .distribution import (
     read_distribution,
 )
 from .errors import OutOfRangeError
-from .estimator import EstimatorParams, estimate_ess
+from .estimator import EstimatorParams, estimate_ess, sample_sizes
 from .generators import FAMILIES, make_distribution, parse_spec
 from .oracle import DualOracle, derive_seed
 
@@ -70,13 +70,21 @@ class ExperimentConfig:
             raise OutOfRangeError(
                 f"format must be one of {FORMATS}, got {self.format!r}"
             )
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)
+            # a bool is an int to Python, but not a count or a seed
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))  # a plain int
         if self.trials < 1:
             raise OutOfRangeError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 2**64:
             raise OutOfRangeError(
                 f"master_seed must lie in [0, 2**64), got {self.master_seed}"
             )
-        _params(self.eps, self.beta, self.gamma, self.mode)  # range checks
+        params = _params(self.eps, self.beta, self.gamma, self.mode)  # range checks
+        if not params.is_degenerate:
+            sample_sizes(params)  # stage sizes that overflow fail before loading
 
     @property
     def params(self) -> EstimatorParams:
@@ -290,9 +298,7 @@ def _field_dict(record) -> dict:
 def _config_dict(config: ExperimentConfig) -> dict:
     out = _field_dict(config)
     out["dist_source"] = os.fspath(config.dist_source)
-    if config.mode != "bicriteria":
-        # unicriterion ignores gamma, which may then be any float, inf included
-        out["gamma"] = None
+    out["gamma"] = config.params.gamma  # None where the mode ignores it
     if config.out_path is not None:
         out["out_path"] = os.fspath(config.out_path)
     return out

@@ -2,12 +2,11 @@
 
 A :class:`DualOracle` answers batches of queries -- draw samples, or draw
 samples together with their own probabilities -- and probability lookups
-of single labels, while counting every query.  Draws go through an alias
-table whose slots are the canonical positions of the positive-probability
-elements, so a draw is a canonical position; only the calls that return
-labels map positions to elements, through
-:func:`~ess_toolkit.distribution.canonical_order`.  Draws are plain numpy
-pipelines.
+of single labels, while counting every query.  Every draw goes through
+one call, :meth:`AliasTable.draw`: the table's slots are the canonical
+positions of the positive-probability elements, so a draw is a canonical
+position; only the calls that return labels map positions to elements,
+through :func:`~ess_toolkit.distribution.canonical_order`.
 
 Each draw consumes exactly one uniform double from the generator; the
 sample stream is therefore a function of (seed, number of draws) alone,
@@ -18,9 +17,10 @@ needs, each charged as the full batch of probability-revealing queries it
 stands for:
 
 * :meth:`DualOracle.order_statistic` (stage one) draws r canonical
-  positions from the stream and selects the k-th smallest in O(r) time and
-  r*4 bytes.  It returns the position of exactly the element that sorting
-  the same draws by (probability, label) would select, for every seed.
+  positions with :meth:`AliasTable.draw`, the call the label-returning
+  draws make, and selects the k-th smallest in O(r) time and r*4 bytes.
+  It returns the position of exactly the element that sorting the same
+  draws by (probability, label) would select, for every seed.
 * :meth:`DualOracle.inverse_prob_sum` (stage two) returns sum(1/p) over t
   draws that rank at or above a pivot without making the draws: it groups
   the elements at or above the pivot into runs of equal probability and
@@ -43,13 +43,6 @@ from .errors import OutOfRangeError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-# Stage-one draws are made in fixed-size chunks whose work arrays (25 bytes
-# a draw) are allocated once per call.  32Ki keeps them inside the CPU
-# caches, and small enough that trials reuse freed heap memory instead of
-# faulting in fresh pages (CHANGES.md has the counts).  The chunk size never
-# changes what is drawn (one uniform per draw).
-_CHUNK = 1 << 15
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -176,37 +169,37 @@ class AliasTable:
         self.accept = accept
         self.alias = alias
 
-    def scratch(self, count: int) -> tuple[np.ndarray, ...]:
-        """Work arrays for :meth:`fill` of up to ``count`` draws."""
-        return (
-            np.empty(count),
-            np.empty(count),
-            np.empty(count, dtype=np.intp),
-            np.empty(count, dtype=bool),
-        )
-
-    def fill(self, rng: np.random.Generator, out: np.ndarray, scratch) -> None:
-        """Write ``out.size`` canonical positions into ``out`` (of
-        ``alias.dtype``), one uniform double each.  Every intermediate is
-        written into ``scratch``, from :meth:`scratch`: nothing is allocated.
-        """
-        u, accept, bucket, keep = (a[: out.size] for a in scratch)
-        rng.random(out=u)
-        u *= self.size
-        np.copyto(bucket, u, casting="unsafe")  # truncates, as u >= 0
-        np.minimum(bucket, self.size - 1, out=bucket)  # u*size may round up to size
-        u -= bucket  # the fractional part decides accept vs alias
-        # buckets are in range, and mode="clip" takes into ``out`` unbuffered
-        np.take(self.accept, bucket, out=accept, mode="clip")
-        np.less(u, accept, out=keep)
-        np.take(self.alias, bucket, out=out, mode="clip")
-        np.copyto(out, bucket, where=keep)
-        out += self.first
+    # Draws are made in fixed-size chunks whose work arrays (25 bytes a
+    # slot) are allocated once per call.  32Ki keeps them inside the CPU
+    # caches, and small enough that trials reuse freed heap memory instead
+    # of faulting in fresh pages (CHANGES.md has the counts).  The chunk
+    # size never changes what is drawn (one uniform per draw).
+    _CHUNK = 1 << 15
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` canonical positions, one uniform double each."""
+        """Draw ``count`` canonical positions (of ``alias.dtype``), one
+        uniform double each, in chunks of ``_CHUNK`` draws that share one
+        set of work arrays."""
+        count = operator.index(count)
+        if count < 0:
+            raise OutOfRangeError("sample count must be nonnegative")
         out = np.empty(count, dtype=self.alias.dtype)
-        self.fill(rng, out, self.scratch(count))
+        chunk = min(count, self._CHUNK)
+        work = [np.empty(chunk, dtype) for dtype in (float, float, np.intp, bool)]
+        for start in range(0, count, self._CHUNK):
+            part = out[start : start + self._CHUNK]
+            u, accept, bucket, keep = (a[: part.size] for a in work)
+            rng.random(out=u)
+            u *= self.size
+            np.copyto(bucket, u, casting="unsafe")  # truncates, as u >= 0
+            np.minimum(bucket, self.size - 1, out=bucket)  # u*size may round up
+            u -= bucket  # the fractional part decides accept vs alias
+            # buckets are in range, and mode="clip" takes into ``out`` unbuffered
+            np.take(self.accept, bucket, out=accept, mode="clip")
+            np.less(u, accept, out=keep)
+            np.take(self.alias, bucket, out=part, mode="clip")
+            np.copyto(part, bucket, where=keep)
+            part += self.first
         return out
 
 
@@ -251,10 +244,8 @@ class DualOracle:
     # -- batch queries ----------------------------------------------------
 
     def _draw_indices(self, count: int) -> np.ndarray:
-        count = operator.index(count)
-        if count < 0:
-            raise OutOfRangeError("sample count must be nonnegative")
-        return canonical_order(self.dist)[self._table.draw(self._rng, count)]
+        positions = self._table.draw(self._rng, count)
+        return canonical_order(self.dist)[positions]
 
     def samp_many(self, count: int) -> np.ndarray:
         """Draw ``count`` labels as a uint64 array; counts ``count`` SAMP queries."""
@@ -280,28 +271,23 @@ class DualOracle:
         (canonical position, prob) of the one at 0-based position ``k`` in
         canonical order.
 
-        Counts ``count`` SAMP and ``count`` EVAL queries.  The draws are the
-        ones :meth:`sample_with_prob_many` would make from the same stream
-        position, and the selected position is that of the element sorting
-        them by (probability, label) would put at position ``k``; the drawn
-        positions are partitioned instead of sorted.
+        Counts ``count`` SAMP and ``count`` EVAL queries.  The positions
+        come from :meth:`AliasTable.draw`, the call
+        :meth:`sample_with_prob_many` makes, so they are its draws from the
+        same stream position.  The selected position is that of the element
+        sorting them by (probability, label) would put at position ``k``;
+        the drawn positions are partitioned instead of sorted.
         """
         count = operator.index(count)
         k = operator.index(k)
         if not 0 <= k < count:
             raise OutOfRangeError(f"order statistic {k} of {count} draws")
-        dist = self.dist
-        table = self._table
-        # every work array is allocated once per call, not per chunk
-        positions = np.empty(count, dtype=table.alias.dtype)
-        scratch = table.scratch(min(count, _CHUNK))
-        for start in range(0, count, _CHUNK):
-            table.fill(self._rng, positions[start : start + _CHUNK], scratch)
+        positions = self._table.draw(self._rng, count)
         self.samp_count += count
         self.eval_count += count
         positions.partition(k)
         position = int(positions[k])
-        return position, float(dist.run_values[dist.run_of(position)])
+        return position, float(self.dist.run_values[self.dist.run_of(position)])
 
     def inverse_prob_sum(self, count: int, pivot: tuple[int, float]) -> float:
         """Sum of 1/prob over ``count`` probability-revealing draws at or

@@ -9,14 +9,23 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
-from ess_toolkit import harness
+import pytest
+
+from ess_toolkit import harness, sample_sizes
 from ess_toolkit.cli import build_parser
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS = BENCH / "spans.py"
+WORKLOADS = [
+    w["name"]
+    for w in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["workloads"]
+]
 
 
 def load_spans():
@@ -93,3 +102,39 @@ def test_run_parser_accepts_jobs_one(tmp_path):
         ]
     )  # fmt: skip
     assert args.jobs == 1
+
+
+def test_stage_one_draws_are_traced():
+    # stage one draws through AliasTable.draw, so the benchmark's
+    # ``oracle.draw`` span counts its r draws in every trial
+    spans = load_spans()
+    config = harness.ExperimentConfig(
+        "geometric:n=1000,rho=0.99", 0.2, 0.2, 0.2, "bicriteria", trials=3, master_seed=7
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        harness.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    r_size, _ = sample_sizes(config.params)
+    assert spans.SpanTable(tracer.take()).info_sum("oracle.draw") == 3 * r_size
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_tiny_run_is_correct(workload):
+    # the benchmark's own output check on each workload at self-test sizes:
+    # a package change that fails it fails here first
+    done = subprocess.run(
+        [
+            sys.executable, str(BENCH / "run.py"), "--workload", workload,
+            "--seed", "3", "--seconds", "0", "--trace", "0", "--tiny",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )  # fmt: skip
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, done.stdout

@@ -393,6 +393,32 @@ class TestRun:
         assert f"'{out}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (dict(beta="1e-200"), "r"),  # beta**2 underflows to 0
+            (dict(beta="1e-200", mode="unicriterion"), "r"),
+            (dict(gamma="1e-200"), "t"),  # gamma**2 underflows to 0
+            (dict(gamma="1e-10"), "t"),  # t = 1.25e24
+            (dict(beta="1e-8", mode="unicriterion"), "r"),  # r = 3.6e19
+            (dict(beta="1e-150"), "r"),
+            (dict(beta="1e-150", mode="unicriterion"), "r"),
+        ],
+    )
+    def test_stage_size_overflow_exits_2_before_loading(
+        self, tmp_path, monkeypatch, capsys, flags, name
+    ):
+        def fail(source):
+            raise AssertionError(f"{source} was loaded")
+
+        monkeypatch.setattr("ess_toolkit.harness.load_distribution", fail)
+        out = tmp_path / "r.json"
+        assert main(run_argv(out, **flags)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} = ")
+        assert "does not fit a signed 64-bit count" in err
+        assert not out.exists()
+
     def test_run_loads_no_process_pool_modules(self, tmp_path):
         # a fresh interpreter, so modules other tests imported do not count
         code = (

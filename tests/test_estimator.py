@@ -86,6 +86,26 @@ class TestSampleSizes:
             r2, t2 = sample_sizes(EstimatorParams(eps, 0.15, 0.11))
             assert (r1, t1) == (r2, t2) and r1 >= 1 and t1 >= 1
 
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            (EstimatorParams(0.2, 1e-200, 0.2), "r"),  # beta**2 underflows to 0
+            (EstimatorParams(0.2, 1e-200), "r"),
+            (EstimatorParams(0.2, 0.2, 1e-200), "t"),  # gamma**2 underflows to 0
+            (EstimatorParams(0.2, 0.2, 1e-10), "t"),  # t = 1.25e24
+            (EstimatorParams(0.2, 1e-8), "r"),  # r = 3.6e19
+            (EstimatorParams(0.2, 1e-150, 0.2), "r"),  # r = 9e302
+        ],
+    )
+    def test_size_beyond_a_64_bit_count_rejected(self, params, name):
+        with pytest.raises(OutOfRangeError, match=f"^{name} = "):
+            sample_sizes(params)
+
+    def test_largest_sizes_still_fit(self):
+        # r = 9.0e18 is just below 2**63
+        r_size, _ = sample_sizes(EstimatorParams(0.2, 1e-8, 0.2))
+        assert 9 * 10**18 - 10**10 < r_size < 2**63
+
 
 class TestEmpiricalQuantile:
     def test_count_strictly_above_threshold(self):
@@ -169,12 +189,15 @@ class TestSelectPivot:
 
 class TestEstimateEss:
     def test_degenerate_rule(self):
-        oracle = DualOracle(validate({A: 0.5, B: 0.5}), seed=6)
-        result = estimate_ess(oracle, EstimatorParams(0.9, 0.2, 0.2))
-        assert result.estimate == 1.0
-        assert result.pivot is None
-        assert result.samp_queries == 0 and result.eval_queries == 0
-        assert oracle.query_counts() == (0, 0)
+        # with gamma = 1e-200 the size t underflows, but a degenerate plan
+        # forms no sizes
+        for gamma in (0.2, 1e-200):
+            oracle = DualOracle(validate({A: 0.5, B: 0.5}), seed=6)
+            result = estimate_ess(oracle, EstimatorParams(0.9, 0.2, gamma))
+            assert result.estimate == 1.0
+            assert result.pivot is None
+            assert result.samp_queries == 0 and result.eval_queries == 0
+            assert oracle.query_counts() == (0, 0)
 
     def test_point_mass(self):
         oracle = DualOracle(validate({A: 1.0}), seed=12)

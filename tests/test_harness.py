@@ -4,6 +4,7 @@ import os
 import stat
 import threading
 
+import numpy as np
 import pytest
 
 from ess_toolkit import harness
@@ -47,6 +48,17 @@ class TestConfigValidation:
     def test_trials_must_be_positive(self):
         with pytest.raises(OutOfRangeError):
             small_config(trials=0)
+        for trials in (2.5, True, "3", None):
+            with pytest.raises(OutOfRangeError, match="trials must be an integer"):
+                small_config(trials=trials)
+        # an integer type other than int is kept as a plain int
+        assert type(small_config(trials=np.int64(3)).trials) is int
+
+    def test_stage_sizes_checked_before_loading(self):
+        with pytest.raises(OutOfRangeError, match="^t = "):
+            small_config(gamma=1e-10)
+        # a degenerate plan draws nothing, so its sizes are never formed
+        small_config(eps=0.9, gamma=1e-200)
 
     def test_bicriteria_needs_gamma(self):
         with pytest.raises(OutOfRangeError):
@@ -85,6 +97,10 @@ class TestConfigValidation:
         for seed in (-1, 2**64, 2**70):
             with pytest.raises(OutOfRangeError):
                 small_config(master_seed=seed)
+        for seed in (1.5, True, False, "7"):
+            with pytest.raises(OutOfRangeError, match="master_seed must be an integer"):
+                small_config(master_seed=seed)
+        assert type(small_config(master_seed=np.uint64(2**64 - 1)).master_seed) is int
 
 
 class TestLoadDistribution:

@@ -287,6 +287,19 @@ class TestAliasTableMemory:
         assert peak <= 48 * n
 
 
+class TestDrawMemory:
+    # the label-returning draws share stage one's chunked draw: the work
+    # arrays take 25 bytes a slot of one 32 Ki chunk, not 25 bytes a draw.
+    # What remains is the 4-byte positions, the 8-byte element indices and
+    # the 8-byte labels, of which at most two are alive at once.
+    def test_samp_many_traced_peak(self):
+        dist = make_distribution(parse_spec("zipf:n=100000,s=1.0"))
+        oracle = DualOracle(dist, seed=5)
+        labels, _, peak = traced_peak(lambda: oracle.samp_many(1_000_000))
+        assert labels.size == 1_000_000
+        assert peak <= 20 << 20
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(42, 7) == derive_seed(42, 7)
@@ -324,6 +337,19 @@ class TestOrderStatistic:
             expected = (int(labels[order[k]]), float(probs[order[k]]))
             pivot = DualOracle(dist, seed=3).order_statistic(count, k)
             assert label_pivot(dist, pivot) == expected
+
+    @pytest.mark.parametrize("count", [1, 1000, 3 * 2**15 + 5])
+    def test_same_draw_as_the_references(self, count):
+        # stage one and the label-returning draws share one draw call, so
+        # from one seed each leaves the stream at the same place
+        dist = make_distribution(parse_spec("two_tier:n=500,h=5,H=0.5,pad=3"))
+        stage_one = DualOracle(dist, seed=21)
+        pivot = stage_one.order_statistic(count, count // 2)
+        reference = DualOracle(dist, seed=21)
+        labels, probs = reference.sample_with_prob_many(count)
+        order = np.lexsort((labels, probs))[count // 2]
+        assert label_pivot(dist, pivot) == (int(labels[order]), float(probs[order]))
+        assert stage_one._rng.random(4).tolist() == reference._rng.random(4).tolist()
 
     def test_scattered_labels(self):
         dist = validate({2**63 + 9: 0.5, 17: 0.25, 2**40: 0.25})
