@@ -80,8 +80,10 @@ class DiscreteDistribution:
     last position.  Which label sits where inside a run changes no count;
     :func:`canonical_order` builds the full permutation on demand.
     ``total`` is the exactly rounded sum of the probabilities
-    (``math.fsum``), the mass samplers normalize by.  Instances are
-    immutable afterwards and safe to share across threads.
+    (``math.fsum``), the mass samplers normalize by.  Instances keep 16
+    bytes an element plus the run index, and construction peaks at 17
+    bytes an element above the caller's arrays.  Instances are immutable
+    afterwards and safe to share across threads.
 
     Elements with probability 0 are kept in the table -- they model padding
     of the universe with unreachable items -- but they never influence
@@ -101,40 +103,48 @@ class DiscreteDistribution:
     def __init__(self, labels, probs) -> None:
         label_arr = _as_label_array(labels)
         try:
-            prob_arr = np.asarray(probs, dtype=np.float64).copy()
+            prob_in = np.asarray(probs, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             raise OutOfRangeError("probabilities must be numbers") from None
-        if prob_arr.ndim != 1 or prob_arr.size != label_arr.size:
+        if prob_in.ndim != 1 or prob_in.size != label_arr.size:
             raise OutOfRangeError("labels and probs must be sequences of equal length")
         if label_arr.size == 0:
             raise OutOfRangeError("distribution must contain at least one element")
-        if not np.all(np.isfinite(prob_arr)):
+        # Each scratch array is freed before the next one is made, and the
+        # kept probability copy comes last, so beside the caller's arrays
+        # set-up holds the label copy and one more array of n at a time (17
+        # bytes a row with a comparison mask).  Sorted, the probabilities
+        # show every bad value at an end: -inf first, +inf and NaN last.
+        scratch = prob_in.copy()
+        scratch.sort()
+        if not (np.isfinite(scratch[0]) and np.isfinite(scratch[-1])):
             raise OutOfRangeError("probabilities must be finite")
-        if np.any(prob_arr < 0.0):
-            worst = float(prob_arr.min())
+        if scratch[0] < 0.0:
+            worst = float(scratch[0])
             raise NegativeProbabilityError(f"negative probability {worst!r}")
-        # one sorted copy of the labels, freed before the probabilities are
-        # sorted: equal neighbours are duplicates
+        # the run index: where the sorted probabilities change, each run's
+        # value, and the prefix sums (formed in place) at each run's end
+        changes = np.flatnonzero(scratch[1:] != scratch[:-1])
+        run_bounds = np.concatenate(([0], changes + 1, [scratch.size]))
+        del changes
+        self.run_values = scratch[run_bounds[:-1]]
+        np.cumsum(scratch, out=scratch)
+        self.run_cumulative = scratch[run_bounds[1:] - 1]
+        del scratch
+        # equal neighbours among the sorted labels are duplicates
         sorted_labels = np.sort(label_arr)
         if np.any(sorted_labels[1:] == sorted_labels[:-1]):
             raise DuplicateLabelError("labels within one distribution must be unique")
         del sorted_labels
-        # fsum reads the floats straight from the buffer: no list of n floats
+        prob_arr = prob_in.copy()
+        # fsum reads the floats straight from the buffer, in input order:
+        # no list of n floats, and ascending order would be several times
+        # slower
         total = math.fsum(memoryview(prob_arr))
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise MassNotOneError(
                 f"probabilities sum to {total!r}, expected 1 within {MASS_TOLERANCE}"
             )
-
-        # the run index: where the sorted probabilities change, each run's
-        # value, and the prefix sums (formed in place) at each run's end
-        sorted_probs = np.sort(prob_arr)
-        changes = np.flatnonzero(sorted_probs[1:] != sorted_probs[:-1])
-        run_bounds = np.concatenate(([0], changes + 1, [prob_arr.size]))
-        del changes
-        self.run_values = sorted_probs[run_bounds[:-1]]
-        np.cumsum(sorted_probs, out=sorted_probs)
-        self.run_cumulative = sorted_probs[run_bounds[1:] - 1]
 
         self.labels = label_arr
         self.probs = prob_arr

@@ -133,12 +133,19 @@ def sample_sizes(params: EstimatorParams) -> tuple[int, int]:
 
     Both depend only on (eps, stage_beta, gamma_eff) -- never on the
     distribution being queried.  Raises OutOfRangeError naming r or t when
-    a size is not finite or does not fit a signed 64-bit count.
+    a size is not finite or does not fit a signed 64-bit count, and naming
+    r when stage one's positions, at most 8 bytes a draw, would not fit
+    the address space.
     """
     eps = params.eps
     beta = params.stage_beta
     gamma = params.gamma_eff
     r_size = _ceil_sample_size("r", PIVOT_SAMPLE_CONSTANT, beta * beta * eps)
+    if 8 * r_size > np.iinfo(np.intp).max:
+        raise OutOfRangeError(
+            f"r = {r_size:.3g} draws need {8 * r_size:.3g} bytes of positions, "
+            "more than an array can address"
+        )
     t_size = _ceil_sample_size("t", MEAN_SAMPLE_CONSTANT, eps * beta * gamma * gamma)
     return r_size, t_size
 

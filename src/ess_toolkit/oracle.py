@@ -66,27 +66,35 @@ def derive_seed(master_seed: int, index: int) -> int:
     return z
 
 
-def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sums ``0, x[0], x[0]+x[1], ...`` as two float64 arrays.
+def _prefix_sums(
+    x: np.ndarray, hi0: float = 0.0, lo0: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums ``hi0, hi0+x[0], hi0+x[0]+x[1], ...`` as two float64 arrays.
 
-    ``hi`` is the float64 running sum; ``lo`` is the running sum of the
-    rounding error of each of its additions, found exactly by TwoSum (Knuth,
-    TAOCP vol. 2, 4.2.2), so ``hi + lo`` carries about twice the precision
-    on every platform.  The TwoSum terms are formed in ``lo`` and in ``x``,
-    which is overwritten: the two outputs are the only arrays allocated.
+    ``hi`` is the float64 running sum; ``lo`` is ``lo0`` plus the running
+    sum of the rounding error of each of its additions, found exactly by
+    TwoSum (Knuth, TAOCP vol. 2, 4.2.2), so ``hi + lo`` carries about twice
+    the precision on every platform.  Both sums run element by element, so
+    pieces summed one after another, each from the last (hi, lo) of the
+    piece before, give the bits of one pass over the whole.  The TwoSum
+    terms are formed in ``lo`` and in ``x``, which is overwritten: the two
+    outputs are the only arrays allocated.
     """
-    hi = np.zeros(x.size + 1)
-    np.cumsum(x, out=hi[1:])
+    hi = np.empty(x.size + 1)
+    hi[0] = hi0
+    hi[1:] = x
+    np.cumsum(hi, out=hi)
     before, after = hi[:-1], hi[1:]
-    lo = np.zeros(x.size + 1)
+    lo = np.empty(x.size + 1)
+    lo[0] = lo0
     # err = (before - (after - added)) + (x - added), added = after - before
     term = lo[1:]
     np.subtract(after, before, out=term)  # added
     x -= term
     np.subtract(after, term, out=term)
     np.subtract(before, term, out=term)
-    x += term
-    np.cumsum(x, out=lo[1:])
+    term += x
+    np.cumsum(lo, out=lo)
     return hi, lo
 
 
@@ -105,10 +113,21 @@ class AliasTable:
     cumulative excess reaches the cumulative deficit of the smalls before j.
     A large that the deficits push below 1 keeps ``1 - overshoot`` and
     aliases the next large; the last large keeps 1.  Those depleted larges
-    are a prefix of the larges, since both cumulative sums ascend.
+    are a prefix of the larges, since both cumulative sums ascend.  The
+    table keeps 12 bytes a slot (8 of ``accept``, 4 of int32 ``alias``);
+    the build holds the larges' excess sums, 16 bytes a large (24 while
+    they are formed), and sweeps the smalls a chunk at a time.
     """
 
     __slots__ = ("first", "size", "accept", "alias")
+
+    # The build's sweep and the draws work in fixed-size chunks whose work
+    # arrays (25 bytes a slot for a draw) are allocated once per call.
+    # 32Ki keeps them inside the CPU caches, and small enough that trials
+    # reuse freed heap memory instead of faulting in fresh pages (CHANGES.md
+    # has the counts).  The chunk size changes neither the table nor what
+    # is drawn (one uniform per draw).
+    _CHUNK = 1 << 15
 
     def __init__(self, dist: DiscreteDistribution) -> None:
         size = dist.support_size
@@ -129,36 +148,45 @@ class AliasTable:
         larges = size - smalls
         # with no large slot every weight is 1 up to float noise: all accept
         if smalls and larges:
-            deficit, deficit_lo = _prefix_sums(1.0 - accept[:smalls])
             excess, excess_lo = _prefix_sums(accept[smalls:] - 1.0)
-            # both searches compare the same float64 sums, so whatever the
-            # rounding, a large's accept plus the deficits it takes
-            # telescope to its weight; deficits past the last large's
-            # excess are float noise and go to the last large
-            target = np.searchsorted(excess[1:], deficit[:-1], side="left")
-            np.minimum(target, larges - 1, out=target)
-            target += smalls
-            alias[:smalls] = target
-            del target
-            # a large before the last is depleted by the first small whose
-            # cumulative deficit passes its cumulative excess.  The large
-            # weights are spent, so their slots of ``accept`` take the
-            # overshoot and ``excess``, once read, its low part; the indices
-            # are in range, and mode="clip" takes into ``out`` unbuffered
-            depleted = int(np.searchsorted(excess[1:-1], deficit[-1], side="left"))
-            through = np.searchsorted(
-                deficit[1:], excess[1 : depleted + 1], side="right"
-            )
-            through += 1
-            overshoot = accept[smalls : smalls + depleted]
-            np.take(deficit, through, out=overshoot, mode="clip")
-            overshoot -= excess[1 : depleted + 1]
-            overshoot_lo = excess[:depleted]
-            np.take(deficit_lo, through, out=overshoot_lo, mode="clip")
-            overshoot_lo -= excess_lo[1 : depleted + 1]
-            overshoot += overshoot_lo
-            np.subtract(1.0, overshoot, out=overshoot)
-            np.clip(overshoot, 0.0, 1.0, out=overshoot)
+            deficit_hi = deficit_lo = 0.0  # the smalls' sums so far
+            depleted = 0
+            for start in range(0, smalls, self._CHUNK):
+                stop = min(start + self._CHUNK, smalls)
+                deficit, lows = _prefix_sums(
+                    1.0 - accept[start:stop], deficit_hi, deficit_lo
+                )
+                deficit_hi, deficit_lo = deficit[-1], lows[-1]
+                # both searches compare the same float64 sums, so whatever
+                # the rounding, a large's accept plus the deficits it takes
+                # telescope to its weight; deficits past the last large's
+                # excess are float noise and go to the last large
+                part = alias[start:stop]
+                part[:] = np.searchsorted(excess[1:], deficit[:-1], side="left")
+                np.minimum(part, larges - 1, out=part)
+                part += smalls
+                # a large before the last is depleted by the first small
+                # whose cumulative deficit passes its cumulative excess: here
+                # the larges whose excess this chunk's deficits pass.  Their
+                # weights are spent, so their slots of ``accept`` take the
+                # overshoot; the indices are in range, and mode="clip" takes
+                # into ``out`` unbuffered
+                done = int(np.searchsorted(excess[1:-1], deficit_hi, side="left"))
+                for low in range(depleted, done, self._CHUNK):
+                    high = min(low + self._CHUNK, done)
+                    passed = excess[low + 1 : high + 1]
+                    passed_lo = excess_lo[low + 1 : high + 1]
+                    through = np.searchsorted(deficit[1:], passed, side="right")
+                    through += 1
+                    overshoot = accept[smalls + low : smalls + high]
+                    np.take(deficit, through, out=overshoot, mode="clip")
+                    overshoot -= passed
+                    overshoot_lo = lows[through]
+                    overshoot_lo -= passed_lo
+                    overshoot += overshoot_lo
+                    np.subtract(1.0, overshoot, out=overshoot)
+                    np.clip(overshoot, 0.0, 1.0, out=overshoot)
+                depleted = done
             accept[smalls + depleted :] = 1.0
             alias[smalls : smalls + depleted] += 1
         else:
@@ -168,13 +196,6 @@ class AliasTable:
         self.size = size
         self.accept = accept
         self.alias = alias
-
-    # Draws are made in fixed-size chunks whose work arrays (25 bytes a
-    # slot) are allocated once per call.  32Ki keeps them inside the CPU
-    # caches, and small enough that trials reuse freed heap memory instead
-    # of faulting in fresh pages (CHANGES.md has the counts).  The chunk
-    # size never changes what is drawn (one uniform per draw).
-    _CHUNK = 1 << 15
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` canonical positions (of ``alias.dtype``), one

@@ -419,6 +419,20 @@ class TestRun:
         assert "does not fit a signed 64-bit count" in err
         assert not out.exists()
 
+    def test_stage_one_beyond_the_address_space_exits_2_before_loading(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # r = 9.0e18 fits a 64-bit count, but not its 8-byte positions
+        def fail(source):
+            raise AssertionError(f"{source} was loaded")
+
+        monkeypatch.setattr("ess_toolkit.harness.load_distribution", fail)
+        out = tmp_path / "r.json"
+        assert main(run_argv(out, beta="1e-8")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: r = 9e+18 draws need 7.2e+19 bytes of positions")
+        assert not out.exists()
+
     def test_run_loads_no_process_pool_modules(self, tmp_path):
         # a fresh interpreter, so modules other tests imported do not count
         code = (

@@ -25,6 +25,7 @@ from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
 from conftest import precedes, random_simplex_distribution, traced_peak, validate
 
 A, B = 0, 1  # two-element label shorthand
+NOT_FINITE = "probabilities must be finite"
 
 
 def uniform(n: int) -> DiscreteDistribution:
@@ -67,6 +68,25 @@ class TestValidate:
     def test_nonfinite_rejected(self):
         with pytest.raises(OutOfRangeError):
             validate({A: float("nan"), B: 0.5})
+
+    @pytest.mark.parametrize(
+        "labels, probs, error, message",
+        [
+            # the checks run in a fixed order: label, numbers, length, empty,
+            # finite, negative, duplicate, mass; each input fails two
+            ([0, 1, 2], [math.nan, -0.5, 1.5], OutOfRangeError, NOT_FINITE),
+            ([0, 1], [-math.inf, 1.0], OutOfRangeError, NOT_FINITE),
+            ([0, 1], [math.inf, 0.5], OutOfRangeError, NOT_FINITE),
+            ([3, 3, 4], [1.2, -0.2, 0.0], NegativeProbabilityError, "negative probability -0.2"),
+            ([3, 3], [0.5, 0.6], DuplicateLabelError, "labels within one distribution must be unique"),
+            ([1.5, 2], [math.nan, 0.5], OutOfRangeError, "label 1.5 is not an integer"),
+        ],
+    )
+    def test_first_failed_check_is_reported(self, labels, probs, error, message):
+        with pytest.raises(error) as info:
+            DiscreteDistribution(labels, probs)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_validate_passes_instance_through(self):
         dist = uniform(3)
@@ -336,16 +356,37 @@ class TestRunIndexBitIdentity:
 class TestSetUpMemory:
     # guards on the footprint: the distribution keeps its two input columns
     # plus its run index, and neither set-up nor the brute-force reference
-    # holds a Python object per element
-    def test_constructor_traced_bytes_per_element(self):
+    # holds a Python object per element.  Beside the caller's arrays the
+    # constructor holds its label copy and one scratch array of n at a
+    # time, plus a one-byte comparison mask: 17 bytes a row
+    @staticmethod
+    def two_tier_columns():
         base = make_distribution(parse_spec("two_tier:n=1000000,h=1000,H=0.5"))
-        n = base.size
         # an odd multiplier permutes the 64-bit integers: unique, scattered
-        labels = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        probs = np.array(base.probs)
+        labels = np.arange(base.size, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        return labels, np.array(base.probs)
+
+    def test_constructor_traced_bytes_per_element(self):
+        labels, probs = self.two_tier_columns()
+        n = labels.size
         _, kept, peak = traced_peak(lambda: DiscreteDistribution(labels, probs))
         assert kept <= 16 * n + (1 << 16)
-        assert peak <= 32 * n
+        assert peak <= 18 * n
+
+    def test_constructor_from_reader_rows(self):
+        # the CSV reader passes the two fields of its structured rows,
+        # strided views that the constructor must copy
+        labels, probs = self.two_tier_columns()
+        n = labels.size
+        rows = np.empty(n, dtype=[("label", np.uint64), ("prob", np.float64)])
+        rows["label"], rows["prob"] = labels, probs
+        del labels, probs
+        dist, kept, peak = traced_peak(
+            lambda: DiscreteDistribution(rows["label"], rows["prob"])
+        )
+        assert dist.probs.tobytes() == rows["prob"].tobytes()
+        assert kept <= 16 * n + (1 << 16)
+        assert peak <= 18 * n
 
     def test_bruteforce_traced_transient(self):
         dist = make_distribution(parse_spec("two_tier:n=1000000,h=1000,H=0.5"))

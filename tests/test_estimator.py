@@ -102,9 +102,21 @@ class TestSampleSizes:
             sample_sizes(params)
 
     def test_largest_sizes_still_fit(self):
-        # r = 9.0e18 is just below 2**63
-        r_size, _ = sample_sizes(EstimatorParams(0.2, 1e-8, 0.2))
-        assert 9 * 10**18 - 10**10 < r_size < 2**63
+        # stage one holds r positions of up to 8 bytes: r = 1.148e18 is
+        # just below 2**63 / 8
+        r_size, _ = sample_sizes(EstimatorParams(0.2, 2.8e-8, 0.2))
+        assert 1147 * 10**15 < r_size <= np.iinfo(np.intp).max // 8
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            EstimatorParams(0.2, 1e-8, 0.2),  # r = 9.0e18, below 2**63
+            EstimatorParams(0.2, 2.7e-8, 0.2),  # r = 1.23e18, 8 r above 2**63
+        ],
+    )
+    def test_positions_beyond_the_address_space_rejected(self, params):
+        with pytest.raises(OutOfRangeError, match="^r = .* bytes of positions"):
+            sample_sizes(params)
 
 
 class TestEmpiricalQuantile:
