@@ -75,10 +75,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_exact(args) -> int:
     dist = load_distribution(args.dist)
-    label = exact_quantile(dist, args.eps)
-    print(f"ess={exact_ess(dist, args.eps)}")
-    print(f"quantile_label={label}")
-    print(f"quantile_prob={dist.prob_of(label):.17g}")
+    ess = exact_ess(dist, args.eps)
+    # the quantile sits at canonical position size - ess
+    prob = dist.run_values[dist.run_of(dist.size - ess)]
+    print(f"ess={ess}")
+    print(f"quantile_label={exact_quantile(dist, args.eps)}")
+    print(f"quantile_prob={prob:.17g}")
     return 0
 
 

@@ -340,18 +340,17 @@ def read_distribution(path) -> DiscreteDistribution:
                 f"expected CSV header {','.join(_CSV_HEADER)!r}, got {header!r}"
             )
         try:
-            # numpy's integer parser reads past its tables on some non-ASCII
-            # characters (a crash or a wrong label, numpy 2.4), and no valid
-            # row holds one, so such files go straight to the error path
-            if not _is_ascii(path):
-                raise ValueError("non-ASCII character")
             with warnings.catch_warnings():
                 # a header-only file is rejected as empty by the constructor
                 warnings.filterwarnings(
                     "ignore", "loadtxt: input contained no data", UserWarning
                 )
                 # given a path rather than an open file, numpy reads the file
-                # in blocks instead of line by line (about 25% faster)
+                # in blocks instead of line by line (about 25% faster).  No
+                # valid row holds a non-ASCII character, and numpy's integer
+                # parser reads past its tables on some (a crash or a wrong
+                # label, numpy 2.4): the strict decoder raises at the first
+                # such byte, a ValueError, before its block reaches the parser
                 rows = np.loadtxt(
                     path,
                     delimiter=",",
@@ -359,7 +358,7 @@ def read_distribution(path) -> DiscreteDistribution:
                     comments=None,
                     quotechar='"',
                     skiprows=1,
-                    encoding="utf-8",
+                    encoding="ascii",
                     ndmin=1,
                 )
         except ValueError as exc:
@@ -376,11 +375,6 @@ def read_distribution(path) -> DiscreteDistribution:
     if not isinstance(rows, list):
         raise OutOfRangeError("distribution JSON must be an array of objects")
     return DiscreteDistribution.from_pairs(_json_pair(row, i) for i, row in enumerate(rows))
-
-
-def _is_ascii(path) -> bool:
-    with open(path, "rb") as fh:
-        return all(block.isascii() for block in iter(lambda: fh.read(1 << 20), b""))
 
 
 def _first_bad_csv_row(path) -> str | None:

@@ -144,7 +144,7 @@ def _params(eps, beta, gamma, mode: str) -> EstimatorParams:
 def load_distribution(source) -> DiscreteDistribution:
     """Resolve a config ``dist_source`` into a validated distribution."""
     text = os.fspath(source)
-    family = text.partition(":")[0]
+    family = text.partition(":")[0].strip()
     if family in FAMILIES:
         return make_distribution(parse_spec(text))
     return read_distribution(text)

@@ -45,3 +45,38 @@ def traced_peak(build):
     finally:
         tracemalloc.stop()
     return result, kept, peak
+
+
+def order_statistic_cdf(dist, count: int, k: int) -> np.ndarray:
+    """P(the k-th smallest (0-based) of ``count`` draws sits at canonical
+    position <= j), for every j: at least k+1 draws land at or below j, each
+    with probability F_j, the mass through position j.  F_j is clipped to
+    [0, 1]: at the end it can be an ulp above 1, where ``binom.sf`` is NaN."""
+    from scipy import stats  # a test extra: imported where it is used
+
+    mass = np.clip(np.cumsum(np.sort(dist.probs)) / dist.total, 0.0, 1.0)
+    return stats.binom.sf(k, count, mass)
+
+
+def chi_square_pvalue(positions: np.ndarray, cdf: np.ndarray) -> float:
+    """Chi-square of observed positions against an exact position law, with
+    neighbouring positions pooled until each cell expects at least 5."""
+    from scipy import stats
+
+    observed = np.bincount(positions, minlength=cdf.size)
+    expected = np.diff(cdf, prepend=0.0) * positions.size
+    cells_observed, cells_expected = [], []
+    seen = want = 0.0
+    for got, mean in zip(observed.tolist(), expected.tolist()):
+        seen += got
+        want += mean
+        if want >= 5.0:
+            cells_observed.append(seen)
+            cells_expected.append(want)
+            seen = want = 0.0
+    cells_observed[-1] += seen
+    cells_expected[-1] += want
+    assert len(cells_expected) > 2, "the law is too concentrated to test"
+    cells_expected = np.asarray(cells_expected)
+    cells_expected *= positions.size / cells_expected.sum()
+    return float(stats.chisquare(cells_observed, cells_expected).pvalue)

@@ -12,6 +12,8 @@ import ess_toolkit
 from ess_toolkit import (
     DiscreteDistribution,
     exact_ess,
+    exact_quantile,
+    load_distribution,
     read_distribution,
     write_distribution,
 )
@@ -124,6 +126,26 @@ class TestExact:
         assert out[0] == "ess=8"
         assert out[1] == "quantile_label=2"
         assert out[2] == f"quantile_prob={0.1:.17g}"
+
+    @pytest.mark.parametrize(
+        "source, eps",
+        [
+            ("zipf:n=1000,s=1.0,pad=50", 0.3),
+            ("two_tier:n=1000,h=10,H=0.5", 0.2),
+            ("point_mass", 0.5),
+            ("geometric:n=1000,rho=0.99", 0.0),
+        ],
+    )
+    def test_quantile_prob_is_the_labels_prob(self, capsys, source, eps):
+        # zero padding and tie runs: the run index gives the label's own prob
+        dist = load_distribution(source)
+        label = exact_quantile(dist, eps)
+        assert main(["exact", "--dist", source, "--eps", str(eps)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"ess={exact_ess(dist, eps)}",
+            f"quantile_label={label}",
+            f"quantile_prob={dist.prob_of(label):.17g}",
+        ]
 
     def test_reads_generated_file(self, tmp_path, capsys):
         path = tmp_path / "d.csv"

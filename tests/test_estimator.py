@@ -19,9 +19,16 @@ from ess_toolkit import (
     sample_sizes,
     select_pivot,
 )
+from ess_toolkit.estimator import _strict_rank_index
 from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
 
-from conftest import label_pivot, precedes, validate
+from conftest import (
+    chi_square_pvalue,
+    label_pivot,
+    order_statistic_cdf,
+    precedes,
+    validate,
+)
 
 A, B = 0, 1
 
@@ -197,6 +204,23 @@ class TestSelectPivot:
             if not precedes(dist, label, low) and not precedes(dist, high, label):
                 hits += 1
         assert hits >= 255  # 85% of 300
+
+    @pytest.mark.parametrize("spec", ["uniform:n=5000", "zipf:n=5000,s=1.0,pad=100"])
+    def test_positions_follow_the_law_of_the_planned_rank(self, spec):
+        # the plan's k of the plan's r: stage one at level (1 + stage_beta/2) eps
+        dist = make_distribution(parse_spec(spec))
+        params = EstimatorParams(0.5, 0.2, 0.2)
+        r_size, _ = sample_sizes(params)
+        theta = (1.0 + params.stage_beta / 2.0) * params.eps
+        k = _strict_rank_index(theta * r_size, r_size)
+        positions = np.array(
+            [
+                select_pivot(DualOracle(dist, derive_seed(31, i)), params)[0]
+                for i in range(2000)
+            ]
+        )
+        pvalue = chi_square_pvalue(positions, order_statistic_cdf(dist, r_size, k))
+        assert pvalue > 1e-4, pvalue
 
 
 class TestEstimateEss:

@@ -114,6 +114,12 @@ class TestLoadDistribution:
         assert load_distribution(str(path)).size == 5
         assert load_distribution(path).size == 5
 
+    @pytest.mark.parametrize("source", [" uniform:n=3", "uniform :n=3", " uniform: n = 3"])
+    def test_spaces_around_the_family_read_as_a_generator(self, source):
+        # the same grammar as parse_spec, which strips the family
+        dist = load_distribution(source)
+        assert dist.size == 3
+
 
 def check_band(estimate, dist, eps, beta, gamma, mode):
     """The harness's verdict on ``estimate`` against the exact band."""

@@ -12,7 +12,14 @@ from ess_toolkit import (
 from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
 from ess_toolkit.oracle import AliasTable, sampler_table
 
-from conftest import label_pivot, random_simplex_distribution, traced_peak, validate
+from conftest import (
+    chi_square_pvalue,
+    label_pivot,
+    order_statistic_cdf,
+    random_simplex_distribution,
+    traced_peak,
+    validate,
+)
 
 A, B = 0, 1
 
@@ -384,37 +391,6 @@ class TestOrderStatistic:
         assert oracle.query_counts() == (0, 0)
 
 
-def order_statistic_cdf(dist, count: int, k: int) -> np.ndarray:
-    """P(the k-th smallest (0-based) of ``count`` draws sits at canonical
-    position <= j), for every j: at least k+1 draws land at or below j, each
-    with probability F_j, the mass through position j.  F_j is clipped to
-    [0, 1]: at the end it can be an ulp above 1, where ``binom.sf`` is NaN."""
-    mass = np.clip(np.cumsum(np.sort(dist.probs)) / dist.total, 0.0, 1.0)
-    return stats.binom.sf(k, count, mass)
-
-
-def chi_square_pvalue(positions: np.ndarray, cdf: np.ndarray) -> float:
-    """Chi-square of observed positions against an exact position law, with
-    neighbouring positions pooled until each cell expects at least 5."""
-    observed = np.bincount(positions, minlength=cdf.size)
-    expected = np.diff(cdf, prepend=0.0) * positions.size
-    cells_observed, cells_expected = [], []
-    seen = want = 0.0
-    for got, mean in zip(observed.tolist(), expected.tolist()):
-        seen += got
-        want += mean
-        if want >= 5.0:
-            cells_observed.append(seen)
-            cells_expected.append(want)
-            seen = want = 0.0
-    cells_observed[-1] += seen
-    cells_expected[-1] += want
-    assert len(cells_expected) > 2, "the law is too concentrated to test"
-    cells_expected = np.asarray(cells_expected)
-    cells_expected *= positions.size / cells_expected.sum()
-    return float(stats.chisquare(cells_observed, cells_expected).pvalue)
-
-
 class TestOrderStatisticLaw:
     # stage one's pivot against its exact law, computed from the whole
     # distribution; nothing here depends on how the draws are made
@@ -480,6 +456,41 @@ class TestInverseProbSum:
         first = DualOracle(dist, seed=7).inverse_prob_sum(10**7, pivot)
         second = DualOracle(dist, seed=7).inverse_prob_sum(10**7, pivot)
         assert first == second
+
+
+class TestInverseProbSumMoments:
+    # stage two against its exact law, computed from the whole distribution:
+    # one draw lands on the element at sorted position i with probability
+    # p'_i = p_i / total and adds 1/p_i if i is at or above the pivot
+    @pytest.mark.parametrize(
+        "spec, position, count",
+        [
+            ("zipf:n=2000,s=1.0", 1000, 10**5),
+            ("two_tier:n=2000,h=20,H=0.5", 1000, 10**5),
+            ("two_tier:n=2000,h=20,H=0.5", 1990, 10**5),  # inside the heavy run
+            ("geometric:n=2000,rho=0.999,pad=50", 615, 10**6),
+        ],
+    )
+    def test_standardised_sums_have_mean_0_and_variance_1(self, spec, position, count):
+        dist = make_distribution(parse_spec(spec))
+        above = np.sort(dist.probs)[position:]
+        above = above[above > 0.0]
+        drawn = above / dist.total
+        # a term's mean is m_j / total, with m_j the positive elements at or
+        # above the pivot; the mean of count terms has 1/count its variance
+        mean = float(np.sum(drawn / above))
+        variance = float(np.sum(drawn / above**2)) - mean**2
+        pivot = (position, float(dist.run_values[dist.run_of(position)]))
+        trials = 3000
+        means = np.array(
+            [
+                DualOracle(dist, derive_seed(47, i)).inverse_prob_sum(count, pivot) / count
+                for i in range(trials)
+            ]
+        )
+        z = (means - mean) / np.sqrt(variance / count)
+        assert abs(z.mean()) <= 4.0 / np.sqrt(trials), z.mean()
+        assert abs(z.var(ddof=1) - 1.0) <= 4.0 * np.sqrt(2.0 / (trials - 1)), z.var(ddof=1)
 
 
 def suffix_scan_inverse_prob_sum(oracle, count, pivot) -> float:
