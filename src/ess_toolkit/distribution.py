@@ -5,9 +5,9 @@ canonical order sorts elements by increasing probability, breaking ties by
 label, and every quantile or effective-support-size question is answered
 against that order.  A distribution keeps only its runs of equal
 probability in that order; :func:`canonical_order` builds the order itself
-for the few paths that report labels.  Functions here see the whole
-distribution; they serve as exact references for the sampling-based
-estimator, which never gets this kind of access.
+for the draw-level references, which work on labels.  Functions here see
+the whole distribution; they serve as exact references for the
+sampling-based estimator, which never gets this kind of access.
 """
 
 from __future__ import annotations
@@ -231,10 +231,11 @@ def _check_eps(eps: float) -> float:
 def canonical_order(dist: DiscreteDistribution) -> np.ndarray:
     """Element indices in canonical order: by probability, ties by label.
 
-    Built on each call, in O(n log n): only paths that report labels need
-    it, and nothing is kept.  Labels are unique, so a stable sort by
-    probability of the label-sorted elements is ``np.lexsort((labels,
-    probs))``, found with two faster single-key sorts.
+    Built on each call, in O(n log n): only the draw-level references,
+    which work on labels, need it, and nothing is kept.  Labels are unique,
+    so a stable sort by probability of the label-sorted elements is
+    ``np.lexsort((labels, probs))``, found with two faster single-key
+    sorts.
     """
     by_label = np.argsort(dist.labels)
     return by_label[np.argsort(dist.probs[by_label], kind="stable")]
@@ -262,8 +263,15 @@ def exact_quantile(dist: DiscreteDistribution, eps: float) -> int:
 
     The returned label always has positive probability: zero-probability
     elements sort first and contribute nothing to the cumulative mass.
+    Inside its run of equal probability the canonical order is by label,
+    so the answer is the offset-th smallest label of that run, found in
+    O(n) without building the order.
     """
-    return int(dist.labels[canonical_order(dist)[_quantile_position(dist, eps)]])
+    position = _quantile_position(dist, eps)
+    run = dist.run_of(position)
+    offset = position - int(dist.run_bounds[run])
+    ties = dist.labels[dist.probs == dist.run_values[run]]
+    return int(np.partition(ties, offset)[offset])
 
 
 def exact_ess(dist: DiscreteDistribution, eps: float) -> int:

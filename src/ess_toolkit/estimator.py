@@ -27,6 +27,7 @@ lookups are restricted to sampled items or not.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ from .oracle import DualOracle
 # band, so they are served at the cap.
 SLACK_CAP = 0.2
 
+# relative tolerance applied at band endpoints to absorb float error
+BAND_RELATIVE_TOLERANCE = 1e-12
+
 PIVOT_SAMPLE_CONSTANT = 180.0
 MEAN_SAMPLE_CONSTANT = 500.0
 
@@ -50,9 +54,11 @@ class EstimatorParams:
     ``eps`` is the target level, ``beta`` widens it to (1+beta)*eps and
     ``gamma`` is the multiplicative slack.  ``gamma=None`` asks for the
     unicriterion answer in [ess((1+beta)*eps), ess(eps)]: both stages run
-    with slack ``beta_eff/2`` and ``gamma_eff = eps*beta_eff/2``, and the
-    output is divided by ``1 + gamma_eff``.  Range checks, the ``SLACK_CAP``
-    clamp, the degenerate rule and the band levels all live here.
+    with slack ``beta_eff/2`` and ``gamma_eff = eps*beta_eff/2``, the
+    output is divided by ``1 + gamma_eff`` (``output_divisor``), and the
+    band verdict rounds the estimate (``in_band``).  The parameters are
+    stored as floats.  Range checks, the ``SLACK_CAP`` clamp, the
+    degenerate rule, the band levels and the band verdict all live here.
     """
 
     eps: float
@@ -60,6 +66,17 @@ class EstimatorParams:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("eps", "beta", "gamma"):
+            value = getattr(self, name)
+            if value is None and name == "gamma":
+                continue  # the unicriterion plan
+            # a bool is a number to Python, but not a level or a slack
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise OutOfRangeError(f"{name} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise OutOfRangeError(f"{name} does not fit a float, got {value!r}") from None
         if not 0.0 < self.eps < 1.0:
             raise OutOfRangeError(f"eps must lie in (0, 1), got {self.eps!r}")
         if not 0.0 < self.beta < math.inf:
@@ -98,6 +115,28 @@ class EstimatorParams:
         if self.gamma is None:
             return (1.0 + self.beta_eff) * self.eps, 1.0
         return (1.0 + self.beta) * self.eps, 1.0 + self.gamma
+
+    @property
+    def output_divisor(self) -> float:
+        """What the calibrated stage-two mean is divided by: ``1 + gamma_eff``
+        for unicriterion, which moves the bicriteria band's upper end down
+        to ess(eps), and 1 for bicriteria."""
+        return 1.0 + self.gamma_eff if self.gamma is None else 1.0
+
+    def in_band(self, estimate: float, low: float, high: float) -> bool:
+        """Whether ``estimate`` lies in the band [low, high] of valid answers,
+        within ``BAND_RELATIVE_TOLERANCE * high`` at both ends.
+
+        Unicriterion judges the estimate rounded half up: support sizes are
+        integers, and its band has integer endpoints.
+        """
+        tol = BAND_RELATIVE_TOLERANCE * high
+        if self.gamma is None:
+            # an estimate is never negative, so fmod is its exact fraction;
+            # floor(estimate + 0.5) is not exact, and sends the float just
+            # below 0.5 to 1
+            estimate = math.floor(estimate) + (math.fmod(estimate, 1.0) >= 0.5)
+        return (low - tol) <= estimate <= (high + tol)
 
 
 @dataclass(frozen=True)
@@ -227,9 +266,7 @@ def estimate_ess(oracle: DualOracle, params: EstimatorParams) -> EstimateResult:
     _, t_size = sample_sizes(params)
     pivot = select_pivot(oracle, params)
     raw_mean = oracle.inverse_prob_sum(t_size, pivot) / t_size
-    estimate = (1.0 + params.gamma_eff / 2.0) * raw_mean
-    if params.gamma is None:
-        estimate = estimate / (1.0 + params.gamma_eff)
+    estimate = (1.0 + params.gamma_eff / 2.0) * raw_mean / params.output_divisor
 
     samp_after, eval_after = oracle.query_counts()
     return EstimateResult(

@@ -30,9 +30,6 @@ from .oracle import DualOracle, derive_seed
 MODES = ("bicriteria", "unicriterion")
 FORMATS = ("csv", "json")
 
-# relative tolerance applied at band endpoints to absorb float error
-BAND_RELATIVE_TOLERANCE = 1e-12
-
 # per-trial wall-clock fields: the only nondeterministic ones, so the CSV
 # leaves them out
 _TIMING_FIELDS = frozenset({"wall_time_ns"})
@@ -44,7 +41,8 @@ class ExperimentConfig:
 
     ``dist_source`` is a distribution file path or a generator string such
     as ``zipf:n=100000,s=1.0``.  ``gamma`` is required in bicriteria mode
-    and ignored in unicriterion mode.
+    and ignored in unicriterion mode, which stores None for it.  ``eps``,
+    ``beta`` and ``gamma`` are stored as the plan's floats.
     """
 
     dist_source: str | os.PathLike
@@ -83,6 +81,10 @@ class ExperimentConfig:
                 f"master_seed must lie in [0, 2**64), got {self.master_seed}"
             )
         params = _params(self.eps, self.beta, self.gamma, self.mode)  # range checks
+        # keep the plan's floats, the values the trials run with and the
+        # report writes (None for the gamma unicriterion ignores)
+        for name in ("eps", "beta", "gamma"):
+            object.__setattr__(self, name, getattr(params, name))
         if not params.is_degenerate:
             sample_sizes(params)  # stage sizes that overflow fail before loading
 
@@ -170,26 +172,18 @@ def band_endpoints(
     return float(ess_relaxed), factor * ess_eps, ess_eps, ess_relaxed
 
 
-def _within_band(estimate: float, low: float, high: float, mode: str) -> bool:
-    tol = BAND_RELATIVE_TOLERANCE * high
-    if mode == "unicriterion":
-        # support sizes are integers and the unicriterion band has integer
-        # endpoints; judge the rounded value (round half up)
-        estimate = math.floor(estimate + 0.5)
-    return (low - tol) <= estimate <= (high + tol)
-
-
 def _run_trial(
     dist: DiscreteDistribution,
-    config: ExperimentConfig,
+    params: EstimatorParams,
+    master_seed: int,
     band_low: float,
     band_high: float,
     index: int,
 ) -> TrialRecord:
-    seed = derive_seed(config.master_seed, index)
+    seed = derive_seed(master_seed, index)
     oracle = DualOracle(dist, seed)
     start = time.perf_counter_ns()
-    result = estimate_ess(oracle, config.params)
+    result = estimate_ess(oracle, params)
     elapsed = time.perf_counter_ns() - start
     return TrialRecord(
         trial=index,
@@ -198,7 +192,7 @@ def _run_trial(
         raw_mean=result.raw_mean,
         band_low=band_low,
         band_high=band_high,
-        success=_within_band(result.estimate, band_low, band_high, config.mode),
+        success=params.in_band(result.estimate, band_low, band_high),
         samp_queries=result.samp_queries,
         eval_queries=result.eval_queries,
         wall_time_ns=elapsed,
@@ -227,7 +221,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         dist, config.eps, config.beta, config.gamma, config.mode
     )
     records = [
-        _run_trial(dist, config, band_low, band_high, i)
+        _run_trial(dist, config.params, config.master_seed, band_low, band_high, i)
         for i in range(config.trials)
     ]
     estimates = [r.estimate for r in records]
@@ -257,8 +251,8 @@ def _write_report(report: ExperimentReport, path) -> None:
     temporary file beside it that is then renamed into place, keeping the
     old file's mode, so a failed write leaves any earlier file as it was and
     no partial report behind.  Anything else (a symlink, ``/dev/null``, a
-    pipe) is opened and written through, as before: renaming over it would
-    replace the link or device itself.
+    pipe) is opened and written through: renaming over it would replace the
+    link or device itself.
     """
     data = emit_report(report, report.config.format)
     try:
@@ -298,7 +292,6 @@ def _field_dict(record) -> dict:
 def _config_dict(config: ExperimentConfig) -> dict:
     out = _field_dict(config)
     out["dist_source"] = os.fspath(config.dist_source)
-    out["gamma"] = config.params.gamma  # None where the mode ignores it
     if config.out_path is not None:
         out["out_path"] = os.fspath(config.out_path)
     return out

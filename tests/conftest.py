@@ -58,6 +58,19 @@ def order_statistic_cdf(dist, count: int, k: int) -> np.ndarray:
     return stats.binom.sf(k, count, mass)
 
 
+def inverse_prob_term_moments(dist, position: int) -> tuple[float, float]:
+    """Exact mean and variance of one stage-two term with the pivot at
+    canonical ``position``: a draw lands on the element at sorted position
+    i with probability p'_i = p_i / total and adds 1/p_i if i is at or
+    above the pivot.  The mean, m_j / total, counts the positive elements
+    at or above the pivot; the mean of t terms has 1/t the variance."""
+    above = np.sort(dist.probs)[position:]
+    above = above[above > 0.0]
+    drawn = above / dist.total
+    mean = float(np.sum(drawn / above))
+    return mean, float(np.sum(drawn / above**2)) - mean**2
+
+
 def chi_square_pvalue(positions: np.ndarray, cdf: np.ndarray) -> float:
     """Chi-square of observed positions against an exact position law, with
     neighbouring positions pooled until each cell expects at least 5."""

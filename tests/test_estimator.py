@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from ess_toolkit import (
     EmptySampleError,
     EstimatorParams,
     OutOfRangeError,
+    SLACK_CAP,
     derive_seed,
     empirical_quantile,
     estimate_ess,
@@ -24,6 +27,7 @@ from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
 
 from conftest import (
     chi_square_pvalue,
+    inverse_prob_term_moments,
     label_pivot,
     order_statistic_cdf,
     precedes,
@@ -49,6 +53,26 @@ class TestParams:
         ]:
             with pytest.raises(OutOfRangeError):
                 EstimatorParams(eps, beta, gamma)
+
+    def test_parameters_are_stored_as_floats(self):
+        params = EstimatorParams(np.float32(0.25), Fraction(1, 5), 1)
+        assert (params.eps, params.beta, params.gamma) == (0.25, 0.2, 1.0)
+        assert all(type(v) is float for v in (params.eps, params.beta, params.gamma))
+        assert type(params.band_levels[0]) is float
+        assert EstimatorParams(0.25, np.int64(1)).gamma is None
+
+    def test_non_real_parameters_rejected(self):
+        for eps, beta, gamma in [
+            (Decimal("0.25"), 0.1, 0.1),
+            ("0.25", 0.1, 0.1),
+            (0.25, True, 0.1),
+            (0.25, 0.1, False),
+            (0.25, 0.1, 1j),
+        ]:
+            with pytest.raises(OutOfRangeError, match="must be a real number"):
+                EstimatorParams(eps, beta, gamma)
+        with pytest.raises(OutOfRangeError, match="does not fit a float"):
+            EstimatorParams(0.25, 10**400)
 
     def test_clamping(self):
         params = EstimatorParams(0.5, 0.7, 1.3)
@@ -315,6 +339,41 @@ class TestEstimateEss:
         mean = float(terms.mean())
         stderr = float(terms.std(ddof=1)) / math.sqrt(terms.size)
         assert abs(mean - exact_ess(dist, eps)) <= 3 * stderr
+
+
+class TestStandardisedEstimates:
+    # the whole estimator against stage two's exact law given the pivot it
+    # returned: undone by the paper's calibration factor c, an estimate is
+    # the mean of t terms with mean m_j and variance sigma_j^2 / t
+    @pytest.mark.parametrize(
+        "spec, params, trials",
+        [
+            ("zipf:n=2000,s=1.0", EstimatorParams(0.5, 0.2, 0.2), 2000),
+            ("two_tier:n=2000,h=20,H=0.5", EstimatorParams(0.3, 0.2, 0.2), 2000),
+            ("geometric:n=2000,rho=0.999,pad=50", EstimatorParams(0.5, 0.2), 1000),
+        ],
+    )
+    def test_mean_0_and_variance_1(self, spec, params, trials):
+        dist = make_distribution(parse_spec(spec))
+        _, t_size = sample_sizes(params)
+        # c written out from the paper: (1 + gamma/2), and for unicriterion
+        # divided by (1 + gamma) with gamma = eps * beta_eff / 2
+        if params.gamma is None:
+            gamma = params.eps * min(params.beta, SLACK_CAP) / 2
+            c = (1 + gamma / 2) / (1 + gamma)
+        else:
+            c = 1 + min(params.gamma, SLACK_CAP) / 2
+        moments = {}
+        z = np.empty(trials)
+        for i in range(trials):
+            result = estimate_ess(DualOracle(dist, derive_seed(53, i)), params)
+            position = result.pivot[0]
+            if position not in moments:
+                moments[position] = inverse_prob_term_moments(dist, position)
+            mean, variance = moments[position]
+            z[i] = (result.estimate / c - mean) / math.sqrt(variance / t_size)
+        assert abs(z.mean()) <= 4.0 / math.sqrt(trials), z.mean()
+        assert abs(z.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (trials - 1)), z.var(ddof=1)
 
 
 class RecordingOracle(DualOracle):

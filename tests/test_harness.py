@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import math
 import os
 import stat
 import threading
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +80,29 @@ class TestConfigValidation:
         with pytest.raises(OutOfRangeError):
             small_config(eps=0.0)
 
+    @pytest.mark.parametrize("eps", [np.float32(0.25), Fraction(1, 4)])
+    def test_numeric_eps_gives_a_json_report(self, eps):
+        # stored as the plan's float, so the report is written, and written
+        # as for the float 0.25
+        config = small_config(eps=eps, trials=3)
+        assert type(config.eps) is float and config.eps == 0.25
+        report = run_experiment(config)
+        data = json.loads(emit_report(report, "json"))
+        assert data["config"]["eps"] == 0.25
+        assert strip_timing(report) == strip_timing(run_experiment(small_config(eps=0.25, trials=3)))
+
+    def test_plan_values_are_stored_as_floats(self):
+        config = small_config(beta=1, gamma=np.float64(0.2))
+        assert type(config.beta) is float and type(config.gamma) is float
+        assert b'"beta":1.0' in emit_report(run_experiment(dataclasses.replace(config, trials=1)))
+        # unicriterion ignores gamma and stores None, which the report writes
+        assert small_config(mode="unicriterion", gamma=0.3).gamma is None
+
+    @pytest.mark.parametrize("overrides", [{"beta": True}, {"eps": Decimal("0.25")}, {"gamma": "0.2"}])
+    def test_non_real_plan_values_rejected(self, overrides):
+        with pytest.raises(OutOfRangeError, match="must be a real number"):
+            small_config(**overrides)
+
     def test_params_follow_mode(self):
         assert small_config().params == EstimatorParams(0.2, 0.2, 0.2)
         uni = small_config(mode="unicriterion", gamma=0.3)
@@ -124,7 +150,7 @@ class TestLoadDistribution:
 def check_band(estimate, dist, eps, beta, gamma, mode):
     """The harness's verdict on ``estimate`` against the exact band."""
     low, high, _, _ = band_endpoints(dist, eps, beta, gamma, mode)
-    return harness._within_band(estimate, low, high, mode)
+    return harness._params(eps, beta, gamma, mode).in_band(estimate, low, high)
 
 
 class TestCheckBand:
@@ -148,6 +174,20 @@ class TestCheckBand:
         dist = validate({0: 1.0})
         assert check_band(1.01 / 1.02, dist, 0.2, 0.2, None, "unicriterion") is True
         assert check_band(0.4, dist, 0.2, 0.2, None, "unicriterion") is False
+
+    def test_unicriterion_rounds_half_up_at_both_edges(self):
+        # the point-mass band is [1, 1]: [0.5, 1.5) rounds half up into it.
+        # Round half to even sends 0.5 to 0, truncation sends 0.5 to 0 and
+        # 1.5 to 1, and floor(x + 0.5) sends the float below 0.5 to 1
+        dist = validate({0: 1.0})
+        inside = [0.5, math.nextafter(1.5, 0.0)]
+        outside = [math.nextafter(0.5, 0.0), 1.5]
+        for estimate in inside:
+            assert check_band(estimate, dist, 0.2, 0.2, None, "unicriterion") is True
+        for estimate in outside:
+            assert check_band(estimate, dist, 0.2, 0.2, None, "unicriterion") is False
+        # bicriteria judges the estimate itself
+        assert check_band(0.5, dist, 0.2, 0.2, 0.2, "bicriteria") is False
 
     def test_degenerate_relaxed_level_clamps_to_one(self):
         dist = make_distribution(GeneratorSpec("uniform", n=100))

@@ -14,6 +14,7 @@ from ess_toolkit.oracle import AliasTable, sampler_table
 
 from conftest import (
     chi_square_pvalue,
+    inverse_prob_term_moments,
     label_pivot,
     order_statistic_cdf,
     random_simplex_distribution,
@@ -459,9 +460,7 @@ class TestInverseProbSum:
 
 
 class TestInverseProbSumMoments:
-    # stage two against its exact law, computed from the whole distribution:
-    # one draw lands on the element at sorted position i with probability
-    # p'_i = p_i / total and adds 1/p_i if i is at or above the pivot
+    # stage two against its exact law, computed from the whole distribution
     @pytest.mark.parametrize(
         "spec, position, count",
         [
@@ -473,13 +472,7 @@ class TestInverseProbSumMoments:
     )
     def test_standardised_sums_have_mean_0_and_variance_1(self, spec, position, count):
         dist = make_distribution(parse_spec(spec))
-        above = np.sort(dist.probs)[position:]
-        above = above[above > 0.0]
-        drawn = above / dist.total
-        # a term's mean is m_j / total, with m_j the positive elements at or
-        # above the pivot; the mean of count terms has 1/count its variance
-        mean = float(np.sum(drawn / above))
-        variance = float(np.sum(drawn / above**2)) - mean**2
+        mean, variance = inverse_prob_term_moments(dist, position)
         pivot = (position, float(dist.run_values[dist.run_of(position)]))
         trials = 3000
         means = np.array(
