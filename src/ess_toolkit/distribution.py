@@ -57,10 +57,10 @@ def _as_label_array(values) -> np.ndarray:
     seq = list(values)
     out = np.empty(len(seq), dtype=np.uint64)
     for i, value in enumerate(seq):
-        try:
-            label = operator.index(value)
-        except TypeError:
-            raise OutOfRangeError(f"label {value!r} is not an integer") from None
+        # a bool is an int to Python, but not a label
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise OutOfRangeError(f"label {value!r} is not an integer")
+        label = operator.index(value)
         if not 0 <= label <= _UINT64_MAX:
             raise OutOfRangeError(f"label {label} does not fit in 64 bits")
         out[i] = label
@@ -103,7 +103,10 @@ class DiscreteDistribution:
     def __init__(self, labels, probs) -> None:
         label_arr = _as_label_array(labels)
         try:
-            prob_in = np.asarray(probs, dtype=np.float64)
+            prob_in = np.asarray(probs)
+            if prob_in.dtype.kind in "bcSU":  # numpy would cast True, 1j and "0.5"
+                raise TypeError
+            prob_in = prob_in.astype(np.float64, copy=False)
         except (TypeError, ValueError, OverflowError):
             raise OutOfRangeError("probabilities must be numbers") from None
         if prob_in.ndim != 1 or prob_in.size != label_arr.size:
@@ -176,7 +179,7 @@ class DiscreteDistribution:
     @classmethod
     def from_probs(cls, probs) -> "DiscreteDistribution":
         """Build with labels 0..n-1 in the given order."""
-        prob_arr = np.asarray(probs, dtype=np.float64)
+        prob_arr = np.asarray(probs)
         return cls(np.arange(prob_arr.size, dtype=np.uint64), prob_arr)
 
     # -- accessors ----------------------------------------------------

@@ -16,7 +16,17 @@ import numpy as np
 from .distribution import DiscreteDistribution
 from .errors import OutOfRangeError
 
-FAMILIES = ("uniform", "zipf", "geometric", "two_tier", "point_mass")
+# the spec fields each family requires; a family may give no other field of
+# this table, except ``n``, which point_mass may give as 1
+_REQUIRED = {
+    "uniform": ("n",),
+    "zipf": ("n", "s"),
+    "geometric": ("n", "rho"),
+    "two_tier": ("n", "h", "heavy_mass"),
+    "point_mass": (),
+}
+FAMILIES = tuple(_REQUIRED)
+_PARAMETERS = tuple(dict.fromkeys(sum(_REQUIRED.values(), ())))  # in table order
 
 
 @dataclass(frozen=True)
@@ -24,12 +34,13 @@ class GeneratorSpec:
     """Parameters of one synthetic family.
 
     Grammar for the CLI form is ``family:key=value[,key=value...]`` with
-    keys ``n``, ``s`` (zipf exponent), ``rho`` (geometric ratio), ``h`` and
-    ``H`` (two_tier heavy count / heavy mass) and ``pad`` (zero_pad).
+    keys ``n`` (element count, required except for point_mass), ``s`` (zipf
+    exponent), ``rho`` (geometric ratio), ``h`` and ``H`` (two_tier heavy
+    count / heavy mass) and ``pad`` (zero_pad).
     """
 
     family: str
-    n: int = 1
+    n: int | None = None
     s: float | None = None
     rho: float | None = None
     h: int | None = None
@@ -44,24 +55,15 @@ def _require(condition: bool, message: str) -> None:
 
 def _check_spec(spec: GeneratorSpec) -> None:
     _require(spec.family in FAMILIES, f"unknown family {spec.family!r}")
-    _require(spec.n >= 1, f"n must be >= 1, got {spec.n}")
+    needs = _REQUIRED[spec.family]
+    for name in _PARAMETERS:
+        given = getattr(spec, name) is not None
+        if name in needs:
+            _require(given, f"{spec.family} requires parameter {name!r}")
+        elif name != "n":
+            _require(not given, f"parameter {name!r} does not apply to {spec.family}")
+    _require(spec.n is None or spec.n >= 1, f"n must be >= 1, got {spec.n}")
     _require(spec.zero_pad >= 0, f"pad must be >= 0, got {spec.zero_pad}")
-    needs = {
-        "uniform": (),
-        "zipf": ("s",),
-        "geometric": ("rho",),
-        "two_tier": ("h", "heavy_mass"),
-        "point_mass": (),
-    }[spec.family]
-    given = {
-        name
-        for name in ("s", "rho", "h", "heavy_mass")
-        if getattr(spec, name) is not None
-    }
-    for name in needs:
-        _require(name in given, f"{spec.family} requires parameter {name!r}")
-    for name in given - set(needs):
-        _require(False, f"parameter {name!r} does not apply to {spec.family}")
     if spec.family == "zipf":
         _require(spec.s > 0, f"zipf exponent must be positive, got {spec.s}")
     if spec.family == "geometric":
@@ -73,7 +75,7 @@ def _check_spec(spec: GeneratorSpec) -> None:
             f"two_tier heavy mass must lie in (0, 1), got {spec.heavy_mass}",
         )
     if spec.family == "point_mass":
-        _require(spec.n == 1, "point_mass has exactly one element")
+        _require(spec.n in (None, 1), "point_mass has exactly one element")
 
 
 def make_distribution(spec: GeneratorSpec) -> DiscreteDistribution:

@@ -62,8 +62,6 @@ class ExperimentConfig:
                 "dist_source must be a file path or a generator string, "
                 f"got {type(self.dist_source).__name__}"
             )
-        if self.mode not in MODES:
-            raise OutOfRangeError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.format not in FORMATS:
             raise OutOfRangeError(
                 f"format must be one of {FORMATS}, got {self.format!r}"
@@ -80,7 +78,7 @@ class ExperimentConfig:
             raise OutOfRangeError(
                 f"master_seed must lie in [0, 2**64), got {self.master_seed}"
             )
-        params = _params(self.eps, self.beta, self.gamma, self.mode)  # range checks
+        params = _params(self.eps, self.beta, self.gamma, self.mode)  # mode and ranges
         # keep the plan's floats, the values the trials run with and the
         # report writes (None for the gamma unicriterion ignores)
         for name in ("eps", "beta", "gamma"):
@@ -135,8 +133,11 @@ class ExperimentReport:
 
 
 def _params(eps, beta, gamma, mode: str) -> EstimatorParams:
-    # unicriterion is the gamma=None plan; bicriteria must name its gamma
-    if mode != "bicriteria":
+    # the one reader of ``mode``: unicriterion is the gamma=None plan, and
+    # bicriteria must name its gamma
+    if mode not in MODES:
+        raise OutOfRangeError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "unicriterion":
         return EstimatorParams(eps, beta)
     if gamma is None:
         raise OutOfRangeError("bicriteria mode needs a gamma")
@@ -172,33 +173,6 @@ def band_endpoints(
     return float(ess_relaxed), factor * ess_eps, ess_eps, ess_relaxed
 
 
-def _run_trial(
-    dist: DiscreteDistribution,
-    params: EstimatorParams,
-    master_seed: int,
-    band_low: float,
-    band_high: float,
-    index: int,
-) -> TrialRecord:
-    seed = derive_seed(master_seed, index)
-    oracle = DualOracle(dist, seed)
-    start = time.perf_counter_ns()
-    result = estimate_ess(oracle, params)
-    elapsed = time.perf_counter_ns() - start
-    return TrialRecord(
-        trial=index,
-        seed=seed,
-        estimate=result.estimate,
-        raw_mean=result.raw_mean,
-        band_low=band_low,
-        band_high=band_high,
-        success=params.in_band(result.estimate, band_low, band_high),
-        samp_queries=result.samp_queries,
-        eval_queries=result.eval_queries,
-        wall_time_ns=elapsed,
-    )
-
-
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run all trials of ``config`` in order and (optionally) write the report.
 
@@ -220,10 +194,28 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     band_low, band_high, ess_eps, ess_relaxed = band_endpoints(
         dist, config.eps, config.beta, config.gamma, config.mode
     )
-    records = [
-        _run_trial(dist, config.params, config.master_seed, band_low, band_high, i)
-        for i in range(config.trials)
-    ]
+    params = config.params
+    records = []
+    for index in range(config.trials):
+        seed = derive_seed(config.master_seed, index)
+        oracle = DualOracle(dist, seed)
+        start = time.perf_counter_ns()
+        result = estimate_ess(oracle, params)
+        elapsed = time.perf_counter_ns() - start
+        records.append(
+            TrialRecord(
+                trial=index,
+                seed=seed,
+                estimate=result.estimate,
+                raw_mean=result.raw_mean,
+                band_low=band_low,
+                band_high=band_high,
+                success=params.in_band(result.estimate, band_low, band_high),
+                samp_queries=result.samp_queries,
+                eval_queries=result.eval_queries,
+                wall_time_ns=elapsed,
+            )
+        )
     estimates = [r.estimate for r in records]
     report = ExperimentReport(
         config=config,

@@ -246,7 +246,6 @@ class DualOracle:
         if not 0 <= seed <= _MASK64:
             raise OutOfRangeError(f"seed must fit in 64 bits, got {seed}")
         self.dist = dist
-        self.seed = seed
         self.samp_count = 0
         self.eval_count = 0
         self._table = sampler_table(dist)
@@ -327,10 +326,12 @@ class DualOracle:
         if count < 0:
             raise OutOfRangeError("sample count must be nonnegative")
         dist = self.dist
-        # zero-probability elements sort first and are never drawn
+        # zero-probability elements sort first and are never drawn, and a
+        # pivot past every element leaves no run
         start = max(operator.index(pivot[0]), dist.size - dist.support_size)
+        start = min(start, dist.size)
         # the run holding position ``start`` is counted from there, each
-        # later run in full; a pivot past every element leaves no run
+        # later run in full
         bounds = dist.run_bounds
         first = dist.run_of(start)
         values = dist.run_values[first:]

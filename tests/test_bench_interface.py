@@ -122,19 +122,28 @@ def test_stage_one_draws_are_traced():
     assert spans.SpanTable(tracer.take()).info_sum("oracle.draw") == 3 * r_size
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_benchmark_tiny_run_is_correct(workload):
-    # the benchmark's own output check on each workload at self-test sizes:
-    # a package change that fails it fails here first
+@pytest.mark.parametrize(
+    "workload, trace",
+    [
+        pytest.param(w, trace, id=f"{w}-traced" if trace else w)
+        for trace in (0, 1)
+        for w in WORKLOADS
+    ],
+)
+def test_benchmark_tiny_run_is_correct(workload, trace):
+    # the benchmark's own output check on each workload at self-test sizes,
+    # untraced and traced: a package change that fails it, or that leaves a
+    # traced name unwrapped or a span's argument unread, fails here first
     done = subprocess.run(
         [
             sys.executable, str(BENCH / "run.py"), "--workload", workload,
-            "--seed", "3", "--seconds", "0", "--trace", "0", "--tiny",
+            "--seed", "3", "--seconds", "0", "--trace", str(trace), "--tiny",
         ],
         capture_output=True,
         text=True,
         timeout=300,
     )  # fmt: skip
     assert done.returncode == 0, done.stderr
+    assert "wrappers not installed" not in done.stdout + done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, done.stdout

@@ -156,6 +156,10 @@ class TestExact:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["exact", "--dist", str(tmp_path / "no.csv"), "--eps", "0.1"]) == 1
 
+    def test_spec_without_n_exits_2(self, capsys):
+        assert main(["exact", "--dist", "uniform", "--eps", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: uniform requires parameter 'n'\n"
+
     def test_bad_eps_exits_2(self):
         assert main(["exact", "--dist", "uniform:n=10", "--eps", "1.5"]) == 2
 
@@ -333,6 +337,10 @@ class TestRun:
             report = json.load(fh)
         assert report["config"]["gamma"] is None
         assert report["config"]["mode"] == "unicriterion"
+
+    def test_spec_without_n_exits_2(self, tmp_path, capsys):
+        assert main(run_argv(tmp_path / "r.csv", dist="geometric:rho=0.5")) == 2
+        assert capsys.readouterr().err == "error: geometric requires parameter 'n'\n"
 
     def test_missing_gamma_in_bicriteria_exits_2(self, tmp_path):
         code = main(

@@ -80,6 +80,9 @@ class TestValidate:
             ([3, 3, 4], [1.2, -0.2, 0.0], NegativeProbabilityError, "negative probability -0.2"),
             ([3, 3], [0.5, 0.6], DuplicateLabelError, "labels within one distribution must be unique"),
             ([1.5, 2], [math.nan, 0.5], OutOfRangeError, "label 1.5 is not an integer"),
+            # a bool is not a label, as a bool array is not
+            ([True, False], ["0.5", "0.5"], OutOfRangeError, "label True is not an integer"),
+            ([0, 1, 2], ["0.5", "0.5"], OutOfRangeError, "probabilities must be numbers"),
         ],
     )
     def test_first_failed_check_is_reported(self, labels, probs, error, message):
@@ -87,6 +90,17 @@ class TestValidate:
             DiscreteDistribution(labels, probs)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "probs",
+        [["0.5", "0.5"], [b"0.5", b"0.5"], [True, False], np.array([True, False])],
+    )
+    def test_non_numeric_probabilities_rejected(self, probs):
+        # numpy would parse the strings and take True as 1
+        with pytest.raises(OutOfRangeError, match="probabilities must be numbers"):
+            DiscreteDistribution([0, 1], probs)
+        with pytest.raises(OutOfRangeError, match="probabilities must be numbers"):
+            DiscreteDistribution.from_probs(probs)
 
     def test_validate_passes_instance_through(self):
         dist = uniform(3)

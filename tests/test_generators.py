@@ -37,8 +37,9 @@ class TestMakeDistribution:
         np.testing.assert_allclose(ratios, 0.5, rtol=1e-14)
 
     def test_point_mass(self):
-        dist = make_distribution(GeneratorSpec("point_mass"))
-        assert dist.probs.tolist() == [1.0]
+        # n is optional for point_mass alone, and can only be 1
+        for spec in (GeneratorSpec("point_mass"), parse_spec("point_mass:n=1")):
+            assert make_distribution(spec).probs.tolist() == [1.0]
 
     def test_zero_pad_appends_after(self):
         dist = make_distribution(GeneratorSpec("uniform", n=3, zero_pad=4))
@@ -59,6 +60,7 @@ class TestMakeDistribution:
             GeneratorSpec("uniform", n=5, s=1.0),  # parameter from another family
             GeneratorSpec("mystery", n=5),
             GeneratorSpec("uniform", n=5, zero_pad=-1),
+            GeneratorSpec("zipf", s=1.0),  # missing n
         ],
     )
     def test_invalid_specs_rejected(self, spec):
@@ -135,6 +137,9 @@ class TestParseSpec:
             "uniform:n=10,seed=3",
             "uniform:n=10,n=20",
             "zipf:n=10,s=1.0,s=2.0",
+            "uniform",  # every family but point_mass requires n
+            "zipf:s=1.0",
+            "geometric:rho=0.5",
         ],
     )
     def test_malformed_rejected(self, text):

@@ -194,6 +194,12 @@ class TestCheckBand:
         low, high, _, relaxed = band_endpoints(dist, 0.3, 9.0, 0.1, "bicriteria")
         assert low == 1.0 and relaxed == 1
 
+    def test_unknown_mode_rejected(self):
+        # a misspelled mode is not read as unicriterion
+        dist = load_distribution("zipf:n=1000,s=1.0")
+        with pytest.raises(OutOfRangeError, match="'bicriterion'"):
+            band_endpoints(dist, 0.2, 0.2, 0.2, "bicriterion")
+
     def test_band_low_never_above_band_high(self):
         dist = make_distribution(GeneratorSpec("zipf", n=500, s=1.0))
         for eps in [0.05, 0.1, 0.3, 0.6]:

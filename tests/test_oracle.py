@@ -443,6 +443,9 @@ class TestInverseProbSum:
         oracle = DualOracle(dist, seed=5)
         assert oracle.inverse_prob_sum(1000, (10**6, 1.0)) == 0.0
         assert oracle.query_counts() == (1000, 1000)
+        # so does a position beyond int64, and it is charged all the same
+        assert oracle.inverse_prob_sum(100, (10**30, 0.0)) == 0.0
+        assert oracle.query_counts() == (1100, 1100)
 
     def test_zero_and_negative_counts(self):
         oracle = DualOracle(point_mass(), seed=6)
