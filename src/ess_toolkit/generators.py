@@ -9,6 +9,7 @@ model arbitrarily large universes without changing any exact quantity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ _REQUIRED = {
 }
 FAMILIES = tuple(_REQUIRED)
 _PARAMETERS = tuple(dict.fromkeys(sum(_REQUIRED.values(), ())))  # in table order
+_INTEGERS = ("n", "h", "zero_pad")  # zero_pad applies to every family
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,18 @@ def _require(condition: bool, message: str) -> None:
 def _check_spec(spec: GeneratorSpec) -> None:
     _require(spec.family in FAMILIES, f"unknown family {spec.family!r}")
     needs = _REQUIRED[spec.family]
-    for name in _PARAMETERS:
-        given = getattr(spec, name) is not None
+    for name in _PARAMETERS + ("zero_pad",):
+        value = getattr(spec, name)
         if name in needs:
-            _require(given, f"{spec.family} requires parameter {name!r}")
-        elif name != "n":
-            _require(not given, f"parameter {name!r} does not apply to {spec.family}")
+            _require(value is not None, f"{spec.family} requires parameter {name!r}")
+        elif name not in ("n", "zero_pad"):
+            _require(value is None, f"parameter {name!r} does not apply to {spec.family}")
+        # a bool is an int to Python, but not a count
+        if name in _INTEGERS and value is not None:
+            _require(
+                isinstance(value, numbers.Integral) and not isinstance(value, bool),
+                f"{name} must be an integer, got {value!r}",
+            )
     _require(spec.n is None or spec.n >= 1, f"n must be >= 1, got {spec.n}")
     _require(spec.zero_pad >= 0, f"pad must be >= 0, got {spec.zero_pad}")
     if spec.family == "zipf":

@@ -16,11 +16,20 @@ On top of the draws the oracle offers the two statistics the estimator
 needs, each charged as the full batch of probability-revealing queries it
 stands for:
 
-* :meth:`DualOracle.order_statistic` (stage one) draws r canonical
-  positions with :meth:`AliasTable.draw`, the call the label-returning
-  draws make, and selects the k-th smallest in O(r) time and r*4 bytes.
-  It returns the position of exactly the element that sorting the same
-  draws by (probability, label) would select, for every seed.
+* :meth:`DualOracle.order_statistic` (stage one) returns the k-th
+  smallest canonical position among r draws by one of two exact routes,
+  which :func:`stage_one_by_counts`, a function of r and the number of
+  positive runs alone, picks.  The *draw* route makes the r draws with
+  :meth:`AliasTable.draw`, the call the label-returning draws make, and
+  selects the k-th smallest in O(r) time and r*4 bytes: the position of
+  exactly the element that sorting the same draws by (probability, label)
+  would select, for every seed.  The *counts* route makes no draw: one
+  multinomial vector gives how many of the r draws land in each positive
+  run, which names the run holding the k-th smallest and its rank k'
+  among that run's m draws.  Those m draws are uniform on the run's w
+  positions, so the offset is floor(w * U) with U ~ Beta(k'+1, m-k'), the
+  (k'+1)-th smallest of m uniforms (Devroye 1986): exact in law, in
+  O(positive runs) time, with no r-sized array.
 * :meth:`DualOracle.inverse_prob_sum` (stage two) returns sum(1/p) over t
   draws that rank at or above a pivot without making the draws: it groups
   the elements at or above the pivot into runs of equal probability and
@@ -45,6 +54,16 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 _INT32_MAX = np.iinfo(np.int32).max
+
+# Stage one takes the counts route when r exceeds this many draws a
+# positive run.  Measured on a 2-vCPU x86-64 machine (numpy 2.4, SFC64): a
+# draw plus its share of the partition costs 18-26 ns at n = 1e4 to 1e5
+# and 32-44 ns at n = 1e6, and the multinomial 42-78 ns a cell with a few
+# draws a cell, rising to 105-240 ns with tens to hundreds (numpy's BTPE
+# binomial).  Whole calls on zipf and geometric tables of 1e3 to 1e5 runs
+# broke even at 4 to 8 draws a run; at 8 the counts route was 1.1 to 2.3
+# times as fast, and more so with more draws a run.
+STAGE_ONE_DRAWS_PER_RUN = 8
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -224,6 +243,12 @@ class AliasTable:
         return out
 
 
+def stage_one_by_counts(runs: int, count: int) -> bool:
+    """True when stage one's ``count`` draws over ``runs`` positive runs of
+    equal probability take the counts route, False for the draw route."""
+    return count > STAGE_ONE_DRAWS_PER_RUN * runs
+
+
 def sampler_table(dist: DiscreteDistribution) -> AliasTable:
     """Alias table for ``dist``, built once and kept on the distribution."""
     if dist._alias_table is None:
@@ -291,23 +316,46 @@ class DualOracle:
         (canonical position, prob) of the one at 0-based position ``k`` in
         canonical order.
 
-        Counts ``count`` SAMP and ``count`` EVAL queries.  The positions
-        come from :meth:`AliasTable.draw`, the call
-        :meth:`sample_with_prob_many` makes, so they are its draws from the
-        same stream position.  The selected position is that of the element
-        sorting them by (probability, label) would put at position ``k``;
-        the drawn positions are partitioned instead of sorted.
+        Counts ``count`` SAMP and ``count`` EVAL queries on either route
+        (module docstring).  On the draw route the positions come from
+        :meth:`AliasTable.draw`, the call :meth:`sample_with_prob_many`
+        makes, so they are its draws from the same stream position, and
+        the selected position is that of the element sorting them by
+        (probability, label) would put at position ``k``; the drawn
+        positions are partitioned instead of sorted.  The counts route has
+        the same law and draws one multinomial and one Beta variate.
         """
         count = operator.index(count)
         k = operator.index(k)
         if not 0 <= k < count:
             raise OutOfRangeError(f"order statistic {k} of {count} draws")
-        positions = self._table.draw(self._rng, count)
+        dist = self.dist
+        first = int(dist.run_values[0] == 0.0)  # a zero run sorts first
+        if stage_one_by_counts(dist.run_values.size - first, count):
+            bounds = dist.run_bounds[first:]
+            widths = bounds[1:] - bounds[:-1]
+            cells = widths * dist.run_values[first:] / dist.total
+            hits = self._rng.multinomial(count, cells)
+            through = hits.cumsum()
+            # the run whose draws hold rank k, and k's rank among them
+            run = int(through.searchsorted(k, side="right"))
+            drawn = int(hits[run])
+            rank = k - (int(through[run]) - drawn)
+            width = int(widths[run])
+            # floor is monotone, so the rank-th smallest of ``drawn``
+            # uniform positions is floor(width * U) for U the (rank+1)-th
+            # smallest of ``drawn`` uniforms; width * U may round up to width
+            offset = int(width * self._rng.beta(rank + 1, drawn - rank))
+            position = int(bounds[run]) + min(offset, width - 1)
+            run += first
+        else:
+            positions = self._table.draw(self._rng, count)
+            positions.partition(k)
+            position = int(positions[k])
+            run = dist.run_of(position)
         self.samp_count += count
         self.eval_count += count
-        positions.partition(k)
-        position = int(positions[k])
-        return position, float(self.dist.run_values[self.dist.run_of(position)])
+        return position, float(dist.run_values[run])
 
     def inverse_prob_sum(self, count: int, pivot: tuple[int, float]) -> float:
         """Sum of 1/prob over ``count`` probability-revealing draws at or

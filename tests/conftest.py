@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ess_toolkit import DiscreteDistribution, canonical_order
+from ess_toolkit.oracle import stage_one_by_counts
 
 
 def validate(elements) -> DiscreteDistribution:
@@ -47,6 +48,13 @@ def traced_peak(build):
     return result, kept, peak
 
 
+def takes_counts_route(dist: DiscreteDistribution, count: int) -> bool:
+    """Whether stage one's ``count`` draws from ``dist`` take the counts
+    route: the rule sees the positive runs (a zero run sorts first)."""
+    runs = dist.run_values.size - int(dist.run_values[0] == 0.0)
+    return stage_one_by_counts(runs, count)
+
+
 def order_statistic_cdf(dist, count: int, k: int) -> np.ndarray:
     """P(the k-th smallest (0-based) of ``count`` draws sits at canonical
     position <= j), for every j: at least k+1 draws land at or below j, each
@@ -71,11 +79,10 @@ def inverse_prob_term_moments(dist, position: int) -> tuple[float, float]:
     return mean, float(np.sum(drawn / above**2)) - mean**2
 
 
-def chi_square_pvalue(positions: np.ndarray, cdf: np.ndarray) -> float:
-    """Chi-square of observed positions against an exact position law, with
-    neighbouring positions pooled until each cell expects at least 5."""
-    from scipy import stats
-
+def _pooled_cells(positions: np.ndarray, cdf: np.ndarray) -> tuple[list, np.ndarray]:
+    """Observed and expected counts of positions against an exact position
+    law, neighbouring positions pooled until each cell expects at least 5;
+    the expected counts are scaled to the observed total."""
     observed = np.bincount(positions, minlength=cdf.size)
     expected = np.diff(cdf, prepend=0.0) * positions.size
     cells_observed, cells_expected = [], []
@@ -89,7 +96,32 @@ def chi_square_pvalue(positions: np.ndarray, cdf: np.ndarray) -> float:
             seen = want = 0.0
     cells_observed[-1] += seen
     cells_expected[-1] += want
-    assert len(cells_expected) > 2, "the law is too concentrated to test"
     cells_expected = np.asarray(cells_expected)
     cells_expected *= positions.size / cells_expected.sum()
+    return cells_observed, cells_expected
+
+
+def chi_square_pvalue(positions: np.ndarray, cdf: np.ndarray) -> float:
+    """Chi-square of observed positions against an exact position law, with
+    neighbouring positions pooled until each cell expects at least 5."""
+    from scipy import stats
+
+    cells_observed, cells_expected = _pooled_cells(positions, cdf)
+    assert len(cells_expected) > 2, "the law is too concentrated to test"
     return float(stats.chisquare(cells_observed, cells_expected).pvalue)
+
+
+def position_law_pvalue(positions: np.ndarray, cdf: np.ndarray) -> float:
+    """p-value of observed positions against an exact position law: the
+    chi-square of :func:`chi_square_pvalue` where its pooled cells number
+    more than two.  A law more concentrated than that gets the exact
+    two-sided binomial test of how many positions hit its most likely one,
+    so a law of one position rejects any other outright."""
+    from scipy import stats
+
+    if len(_pooled_cells(positions, cdf)[1]) > 2:
+        return chi_square_pvalue(positions, cdf)
+    pmf = np.diff(cdf, prepend=0.0)
+    mode = int(pmf.argmax())
+    hits = int(np.count_nonzero(positions == mode))
+    return float(stats.binomtest(hits, positions.size, float(pmf[mode])).pvalue)

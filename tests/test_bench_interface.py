@@ -104,22 +104,35 @@ def test_run_parser_accepts_jobs_one(tmp_path):
     assert args.jobs == 1
 
 
-def test_stage_one_draws_are_traced():
-    # stage one draws through AliasTable.draw, so the benchmark's
-    # ``oracle.draw`` span counts its r draws in every trial
+@pytest.mark.parametrize(
+    "source, draws_per_trial",
+    [
+        # r = 22 500 draws over 5000 runs stay on the draw route, and over
+        # 1000 runs take the counts route, which makes no draw
+        pytest.param("geometric:n=5000,rho=0.999", 1, id="draw-route"),
+        pytest.param("geometric:n=1000,rho=0.99", 0, id="counts-route"),
+    ],
+)
+def test_stage_one_draws_are_traced(source, draws_per_trial):
+    # on the draw route stage one draws through AliasTable.draw, so the
+    # benchmark's ``oracle.draw`` span counts its r draws in every trial;
+    # on the counts route it counts none, and the queries are charged alike
     spans = load_spans()
     config = harness.ExperimentConfig(
-        "geometric:n=1000,rho=0.99", 0.2, 0.2, 0.2, "bicriteria", trials=3, master_seed=7
+        source, 0.2, 0.2, 0.2, "bicriteria", trials=3, master_seed=7
     )
     tracer = spans.Tracer()
     tracer.install()
     try:
-        harness.run_experiment(config)
+        report = harness.run_experiment(config)
     finally:
         tracer.uninstall()
     assert tracer.missing == []
-    r_size, _ = sample_sizes(config.params)
-    assert spans.SpanTable(tracer.take()).info_sum("oracle.draw") == 3 * r_size
+    r_size, t_size = sample_sizes(config.params)
+    draws = spans.SpanTable(tracer.take()).info_sum("oracle.draw")
+    assert draws == 3 * draws_per_trial * r_size
+    for trial in report.trials:
+        assert (trial.samp_queries, trial.eval_queries) == (r_size + t_size,) * 2
 
 
 @pytest.mark.parametrize(

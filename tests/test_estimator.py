@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from ess_toolkit import (
+    DiscreteDistribution,
     DualOracle,
     EmptySampleError,
     EstimatorParams,
@@ -30,7 +31,9 @@ from conftest import (
     inverse_prob_term_moments,
     label_pivot,
     order_statistic_cdf,
+    position_law_pvalue,
     precedes,
+    takes_counts_route,
     validate,
 )
 
@@ -247,6 +250,59 @@ class TestSelectPivot:
         assert pvalue > 1e-4, pvalue
 
 
+class StubStream:
+    """The oracle's generator on stage one's counts route, stubbed: fixed
+    run counts and a fixed Beta variate, with the Beta arguments kept."""
+
+    def __init__(self, hits, variate: float) -> None:
+        self.hits = np.array(hits)
+        self.variate = variate
+        self.beta_args = []
+
+    def multinomial(self, count, cells):
+        assert count == self.hits.sum() and len(cells) == self.hits.size
+        return self.hits.copy()
+
+    def beta(self, a, b):
+        self.beta_args.append((a, b))
+        return self.variate
+
+
+class TestPlannedRank:
+    # the k select_pivot passes, seen through the counts route: the run
+    # counts put k at rank 7 of the 20 draws in the middle run, so the Beta
+    # arguments and the offset follow from k alone
+    @pytest.mark.parametrize(
+        "eps, beta",
+        # theta * r is 4950, 18 900, 18 900 and 4950 (integers, where the
+        # strict rank matters), then 8600.3225
+        [
+            ("0.2", "0.2"),
+            ("0.1", "0.1"),
+            ("0.3", "0.1"),
+            ("0.25", "0.2"),
+            ("0.35", "0.15"),
+        ],
+    )
+    def test_counts_route_takes_the_planned_rank(self, eps, beta):
+        # runs: 7 zeros, then 100, 50 and 10 elements
+        probs = np.repeat([0.0, 0.002, 0.004, 0.06], [7, 100, 50, 10])
+        dist = DiscreteDistribution.from_probs(probs)
+        params = EstimatorParams(float(eps), float(beta), 0.2)
+        r_size, _ = sample_sizes(params)
+        assert takes_counts_route(dist, r_size)
+        # the smallest 0-based k with k + 1 > theta * r, exactly
+        theta = (1 + Fraction(beta) / 2) * Fraction(eps)
+        k = min(math.floor(theta * r_size), r_size - 1)
+        stream = StubStream([k - 7, 20, r_size - k - 13], variate=0.5)
+        oracle = DualOracle(dist, seed=1)
+        oracle._rng = stream
+        position, prob = select_pivot(oracle, params)
+        assert stream.beta_args == [(8, 13)]
+        assert (position, prob) == (7 + 100 + 25, 0.004)  # floor(50 * 0.5)
+        assert oracle.query_counts() == (r_size, r_size)
+
+
 class TestEstimateEss:
     def test_degenerate_rule(self):
         # with gamma = 1e-200 the size t underflows, but a degenerate plan
@@ -445,6 +501,8 @@ LAW_FIXTURES = [
     # at eps=0.2 the pivot lies inside the run of ten tied heavy elements
     "two_tier:n=10000,h=10,H=0.9",
     "uniform:n=100,pad=9900",
+    # 5000 runs keep the planned r = 22 500 draws on stage one's draw route
+    "zipf:n=5000,s=1.0",
 ]
 
 
@@ -457,8 +515,17 @@ class TestStatisticsMatchDrawReference:
         params = EstimatorParams(0.2, 0.2, 0.2)
         r_size, _ = sample_sizes(params)
         theta = (1.0 + params.beta_eff / 2.0) * params.eps
-        for i in range(200):
-            seed = derive_seed(9_100_000, i)
+        seeds = [derive_seed(9_100_000, i) for i in range(200)]
+        if takes_counts_route(dist, r_size):
+            # no draws to sort: the pivot follows the law of the planned rank
+            oracles = [DualOracle(dist, seed) for seed in seeds]
+            positions = np.array([select_pivot(oracle, params)[0] for oracle in oracles])
+            k = _strict_rank_index(theta * r_size, r_size)
+            pvalue = position_law_pvalue(positions, order_statistic_cdf(dist, r_size, k))
+            assert pvalue > 1e-4, pvalue
+            assert all(o.query_counts() == (r_size, r_size) for o in oracles)
+            return
+        for seed in seeds:
             reference = DualOracle(dist, seed)
             labels, probs = reference.sample_with_prob_many(r_size)
             oracle = DualOracle(dist, seed)
@@ -471,11 +538,23 @@ class TestStatisticsMatchDrawReference:
     @pytest.mark.parametrize("source", LAW_FIXTURES)
     def test_every_order_statistic_matches_lexsort(self, source):
         dist = make_distribution(parse_spec(source))
+        ranks = (0, 1, 137, 250, 498, 499)
+        if takes_counts_route(dist, 500):
+            # no draws to sort: each rank's position follows its law, over
+            # enough seeds of the same family for a chi-square
+            seeds = [derive_seed(9_200_000, i) for i in range(2000)]
+            for k in ranks:
+                positions = np.array(
+                    [DualOracle(dist, seed).order_statistic(500, k)[0] for seed in seeds]
+                )
+                pvalue = position_law_pvalue(positions, order_statistic_cdf(dist, 500, k))
+                assert pvalue > 1e-4, (k, pvalue)
+            return
         for i in range(20):
             seed = derive_seed(9_200_000, i)
             labels, probs = DualOracle(dist, seed).sample_with_prob_many(500)
             order = np.lexsort((labels, probs))
-            for k in (0, 1, 137, 250, 498, 499):
+            for k in ranks:
                 expected = (int(labels[order[k]]), float(probs[order[k]]))
                 pivot = DualOracle(dist, seed).order_statistic(500, k)
                 assert label_pivot(dist, pivot) == expected

@@ -67,6 +67,19 @@ class TestMakeDistribution:
         with pytest.raises(OutOfRangeError):
             make_distribution(spec)
 
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            (GeneratorSpec("uniform", n=2.5), "n"),
+            (GeneratorSpec("uniform", n=3, zero_pad=1.5), "zero_pad"),
+            (GeneratorSpec("two_tier", n=10, h=2.5, heavy_mass=0.5), "h"),
+            (GeneratorSpec("point_mass", n=True), "n"),
+        ],
+    )
+    def test_integer_fields_must_be_integers(self, spec, name):
+        with pytest.raises(OutOfRangeError, match=f"{name} must be an integer"):
+            make_distribution(spec)
+
 
 class TestMassPrecision:
     @pytest.mark.parametrize(

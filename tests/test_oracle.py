@@ -10,14 +10,16 @@ from ess_toolkit import (
     derive_seed,
 )
 from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
-from ess_toolkit.oracle import AliasTable, sampler_table
+from ess_toolkit.oracle import AliasTable, sampler_table, stage_one_by_counts
 
 from conftest import (
     chi_square_pvalue,
     inverse_prob_term_moments,
     label_pivot,
     order_statistic_cdf,
+    position_law_pvalue,
     random_simplex_distribution,
+    takes_counts_route,
     traced_peak,
     validate,
 )
@@ -353,8 +355,9 @@ class TestOrderStatistic:
 
     def test_spans_several_chunks(self):
         # more draws than one chunk: still the k-th of the whole stream
-        dist = make_distribution(GeneratorSpec("zipf", n=1000, s=1.0))
+        dist = make_distribution(GeneratorSpec("zipf", n=30_000, s=1.0))
         count = 200_001
+        assert not takes_counts_route(dist, count)
         labels = DualOracle(dist, seed=3).samp_many(count)
         probs = dist.probs[labels.astype(np.int64)]
         order = np.lexsort((labels, probs))
@@ -365,24 +368,43 @@ class TestOrderStatistic:
 
     @pytest.mark.parametrize("count", [1, 1000, 3 * 2**15 + 5])
     def test_same_draw_as_the_references(self, count):
-        # stage one and the label-returning draws share one draw call, so
-        # from one seed each leaves the stream at the same place
         dist = make_distribution(parse_spec("two_tier:n=500,h=5,H=0.5,pad=3"))
+        k = count // 2
+        if takes_counts_route(dist, count):
+            # no draws to compare: the position follows the law of rank k
+            oracles = [DualOracle(dist, derive_seed(21, i)) for i in range(2000)]
+            positions = np.array([o.order_statistic(count, k)[0] for o in oracles])
+            pvalue = position_law_pvalue(positions, order_statistic_cdf(dist, count, k))
+            assert pvalue > 1e-4, pvalue
+            assert all(o.query_counts() == (count, count) for o in oracles)
+            return
+        # on the draw route stage one and the label-returning draws share one
+        # draw call, so from one seed each leaves the stream at the same place
         stage_one = DualOracle(dist, seed=21)
-        pivot = stage_one.order_statistic(count, count // 2)
+        pivot = stage_one.order_statistic(count, k)
         reference = DualOracle(dist, seed=21)
         labels, probs = reference.sample_with_prob_many(count)
-        order = np.lexsort((labels, probs))[count // 2]
+        order = np.lexsort((labels, probs))[k]
         assert label_pivot(dist, pivot) == (int(labels[order]), float(probs[order]))
         assert stage_one._rng.random(4).tolist() == reference._rng.random(4).tolist()
 
     def test_scattered_labels(self):
         dist = validate({2**63 + 9: 0.5, 17: 0.25, 2**40: 0.25})
-        labels, probs = DualOracle(dist, seed=4).sample_with_prob_many(99)
+        assert not takes_counts_route(dist, 16)
+        labels, probs = DualOracle(dist, seed=4).sample_with_prob_many(16)
         order = np.lexsort((labels, probs))
-        expected = (int(labels[order[60]]), float(probs[order[60]]))
-        pivot = DualOracle(dist, seed=4).order_statistic(99, 60)
+        expected = (int(labels[order[10]]), float(probs[order[10]]))
+        pivot = DualOracle(dist, seed=4).order_statistic(16, 10)
         assert label_pivot(dist, pivot) == expected
+
+    def test_counts_route_holds_no_array_of_the_draws(self):
+        # 10**15 draws would not fit in memory: the counts route makes none
+        dist = make_distribution(parse_spec("two_tier:n=1000,h=10,H=0.5,pad=5"))
+        oracle = DualOracle(dist, seed=22)
+        position, prob = oracle.order_statistic(10**15, 10**15 // 4)
+        # rank n/4 of n lies deep in the light run, which holds half the mass
+        assert 5 <= position < 995 and prob == dist.run_values[1]
+        assert oracle.query_counts() == (10**15, 10**15)
 
     def test_position_range_checked(self):
         oracle = DualOracle(point_mass(), seed=1)
@@ -390,6 +412,20 @@ class TestOrderStatistic:
             with pytest.raises(OutOfRangeError):
                 oracle.order_statistic(count, k)
         assert oracle.query_counts() == (0, 0)
+
+
+class TestStageOneRoute:
+    @pytest.mark.parametrize(
+        "runs, count, by_counts",
+        [
+            # the benchmark's stage ones: positive runs and r
+            pytest.param(2, 22_500, True, id="cli-file-1e6"),
+            pytest.param(100_000, 90_000, False, id="uni-zipf-draws"),
+            pytest.param(100_000, 360_000, False, id="bi-pivot-sweep"),
+        ],
+    )
+    def test_benchmark_configs(self, runs, count, by_counts):
+        assert stage_one_by_counts(runs, count) is by_counts
 
 
 class TestOrderStatisticLaw:
