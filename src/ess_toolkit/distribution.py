@@ -38,7 +38,7 @@ MAX_EPS = 1.0 - 1e-9
 
 _UINT64_MAX = 2**64 - 1
 
-_BRUTEFORCE_SLICE = 1 << 16
+_SLICE = 1 << 16
 
 
 def _as_label_array(values) -> np.ndarray:
@@ -248,17 +248,24 @@ def _quantile_position(dist: DiscreteDistribution, eps: float) -> int:
     eps = _check_eps(eps)
     # first canonical position whose cumulative mass strictly exceeds eps;
     # the mass-sum invariant guarantees one exists.  The run holding it is
-    # found on the run ends, and the masses inside that run are the
-    # element-level prefix sums, so the answer is the same as a search
-    # over the prefix sums of every element.
+    # found on the run ends; inside it the element-level prefix sums are
+    # formed a slice at a time, each cumsum started from the last mass of
+    # the slice before, which gives the bits of one pass over every element
     run = int(np.searchsorted(dist.run_cumulative, eps, side="right"))
     if run == dist.run_values.size:
         return dist.size - 1
-    lo = int(dist.run_bounds[run])
-    masses = np.full(int(dist.run_bounds[run + 1]) - lo + 1, dist.run_values[run])
+    lo, end = int(dist.run_bounds[run]), int(dist.run_bounds[run + 1])
+    masses = np.empty(min(_SLICE, end - lo) + 1)
     masses[0] = dist.run_cumulative[run - 1] if run else 0.0
-    np.cumsum(masses, out=masses)
-    return lo + int(np.searchsorted(masses[1:], eps, side="right"))
+    for start in range(lo, end, _SLICE):
+        part = masses[: min(_SLICE, end - start) + 1]
+        part[1:] = dist.run_values[run]
+        np.cumsum(part, out=part)
+        ahead = int(np.searchsorted(part[1:], eps, side="right"))
+        # the run's last mass, run_cumulative[run], exceeds eps
+        if ahead < part.size - 1 or start + _SLICE >= end:
+            return start + ahead
+        masses[0] = part[-1]
 
 
 def exact_quantile(dist: DiscreteDistribution, eps: float) -> int:
@@ -299,8 +306,8 @@ def exact_ess_bruteforce(dist: DiscreteDistribution, eps: float) -> int:
     dropped = 0
     dropped_mass = 0.0
     # slices keep the Python floats to a fixed number at a time
-    for start in range(0, ascending.size, _BRUTEFORCE_SLICE):
-        for p in ascending[start : start + _BRUTEFORCE_SLICE].tolist():
+    for start in range(0, ascending.size, _SLICE):
+        for p in ascending[start : start + _SLICE].tolist():
             if dropped_mass + p > eps:
                 return ascending.size - dropped
             dropped_mass += p

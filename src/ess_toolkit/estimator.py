@@ -8,9 +8,9 @@ the pivot.  That average is an unbiased estimate of the number of elements
 at or above the pivot, and the returned value is the average times a small
 calibration factor.
 
-Each stage is one oracle call: :meth:`DualOracle.order_statistic` draws the
-r stage-one samples and selects the quantile by rank in O(r), giving the
-canonical position of the element a sort of the draws would select;
+Each stage is one oracle call: :meth:`DualOracle.order_statistic` returns
+the canonical position of the quantile of r stage-one draws, by selecting
+it from the draws in O(r) or from one Beta variate of the same law;
 :meth:`DualOracle.inverse_prob_sum` starts from that position and returns
 the stage-two sum with the exact law of t draws in O(runs above the pivot)
 time, independent of t and n.  Both charge the full r (resp. t) SAMP and

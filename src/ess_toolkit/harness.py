@@ -25,7 +25,7 @@ from .distribution import (
 from .errors import OutOfRangeError
 from .estimator import EstimatorParams, estimate_ess, sample_sizes
 from .generators import FAMILIES, make_distribution, parse_spec
-from .oracle import DualOracle, derive_seed
+from .oracle import DualOracle, derive_seed, sampler_table, stage_one_draws
 
 MODES = ("bicriteria", "unicriterion")
 FORMATS = ("csv", "json")
@@ -195,6 +195,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         dist, config.eps, config.beta, config.gamma, config.mode
     )
     params = config.params
+    # the one alias table the trials draw from, built before the first is timed
+    if not params.is_degenerate and stage_one_draws(dist, sample_sizes(params)[0]):
+        sampler_table(dist)
     records = []
     for index in range(config.trials):
         seed = derive_seed(config.master_seed, index)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ess_toolkit import DiscreteDistribution, canonical_order
-from ess_toolkit.oracle import stage_one_by_counts
 
 
 def validate(elements) -> DiscreteDistribution:
@@ -46,13 +45,6 @@ def traced_peak(build):
     finally:
         tracemalloc.stop()
     return result, kept, peak
-
-
-def takes_counts_route(dist: DiscreteDistribution, count: int) -> bool:
-    """Whether stage one's ``count`` draws from ``dist`` take the counts
-    route: the rule sees the positive runs (a zero run sorts first)."""
-    runs = dist.run_values.size - int(dist.run_values[0] == 0.0)
-    return stage_one_by_counts(runs, count)
 
 
 def order_statistic_cdf(dist, count: int, k: int) -> np.ndarray:

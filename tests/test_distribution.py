@@ -13,6 +13,7 @@ from ess_toolkit import (
     NegativeProbabilityError,
     OutOfRangeError,
     UnknownLabelError,
+    band_endpoints,
     canonical_order,
     exact_ess,
     exact_ess_bruteforce,
@@ -20,6 +21,7 @@ from ess_toolkit import (
     read_distribution,
     write_distribution,
 )
+from ess_toolkit import distribution
 from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
 
 from conftest import precedes, random_simplex_distribution, traced_peak, validate
@@ -408,6 +410,52 @@ class TestSetUpMemory:
         ess, _, peak = traced_peak(lambda: exact_ess_bruteforce(dist, 0.05))
         assert ess == exact_ess(dist, 0.05)
         assert peak <= 16 * dist.size
+
+
+    def test_band_endpoints_traced_peak_is_one_slice(self):
+        # both levels fall in the light run of 999 000 ties, whose masses in
+        # one pass would take 8 MB; a slice of them takes 512 KiB
+        dist = make_distribution(parse_spec("two_tier:n=1000000,h=1000,H=0.5"))
+        band, _, peak = traced_peak(
+            lambda: band_endpoints(dist, 0.2, 0.2, 0.2, "bicriteria")
+        )
+        assert band[2:] == (exact_ess_bruteforce(dist, 0.2), exact_ess_bruteforce(dist, 0.24))
+        assert peak <= 8 * distribution._SLICE + (1 << 16)
+
+
+class TestQuantileSlices:
+    # exact_ess scans the run holding eps a slice at a time, each slice's
+    # cumsum started from the last mass of the one before: eps in every
+    # slice of a tie run longer than two slices, and at each element's
+    # mass and its neighbours, gives the brute-force answer
+    @staticmethod
+    def levels(dist, positions):
+        masses = np.cumsum(np.sort(dist.probs))
+        return [
+            np.nextafter(masses[j], direction)
+            for j in positions
+            for direction in (0.0, masses[j], 1.0)
+        ]
+
+    def assert_matches_bruteforce(self, dist, positions):
+        for eps in self.levels(dist, positions):
+            assert exact_ess(dist, eps) == exact_ess_bruteforce(dist, eps), eps
+
+    def test_every_element_of_a_run_of_small_slices(self, monkeypatch):
+        monkeypatch.setattr(distribution, "_SLICE", 4)
+        # runs of 3, 11 and 2: slices of the tie run start at 3, 7 and 11
+        probs = np.repeat([1.0, 3.0, 50.0], [3, 11, 2])
+        dist = DiscreteDistribution.from_probs(probs / probs.sum())
+        self.assert_matches_bruteforce(dist, range(dist.size - 1))
+
+    def test_slice_edges_of_a_long_tie_run(self):
+        size = distribution._SLICE
+        # a tie run of 2.5 slices from position 10
+        probs = np.repeat([1.0, 2.0, 1000.0], [10, 5 * size // 2, 3])
+        dist = DiscreteDistribution.from_probs(probs / probs.sum())
+        edges = [10 + size, 10 + 2 * size]
+        positions = [9, 10, 11, size // 2] + [e + d for e in edges for d in (-1, 0, 1)]
+        self.assert_matches_bruteforce(dist, positions + [10 + 5 * size // 2 - 1])
 
 
 class TestZeroPadding:

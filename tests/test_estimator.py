@@ -25,6 +25,7 @@ from ess_toolkit import (
 )
 from ess_toolkit.estimator import _strict_rank_index
 from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
+from ess_toolkit.oracle import stage_one_draws
 
 from conftest import (
     chi_square_pvalue,
@@ -33,7 +34,6 @@ from conftest import (
     order_statistic_cdf,
     position_law_pvalue,
     precedes,
-    takes_counts_route,
     validate,
 )
 
@@ -250,57 +250,97 @@ class TestSelectPivot:
         assert pvalue > 1e-4, pvalue
 
 
-class StubStream:
-    """The oracle's generator on stage one's counts route, stubbed: fixed
-    run counts and a fixed Beta variate, with the Beta arguments kept."""
+# (eps, beta) points of a bicriteria plan with gamma = 0.2: theta * r is
+# 4950, 18 900, 18 900 and 4950 (integers, where the strict rank matters),
+# then 8600.3225
+RANK_GRID = [
+    ("0.2", "0.2"),
+    ("0.1", "0.1"),
+    ("0.3", "0.1"),
+    ("0.25", "0.2"),
+    ("0.35", "0.15"),
+]
 
-    def __init__(self, hits, variate: float) -> None:
-        self.hits = np.array(hits)
+
+def planned_rank(eps: str, beta: str, r_size: int) -> int:
+    """The smallest 0-based k with k + 1 > theta * r, theta = (1 + beta/2)
+    eps, in exact arithmetic on the decimal parameters."""
+    theta = (1 + Fraction(beta) / 2) * Fraction(eps)
+    return min(math.floor(theta * r_size), r_size - 1)
+
+
+def three_run_distribution() -> DiscreteDistribution:
+    """7 zeros, then runs of 100, 50 and 10 elements holding 0.2, 0.2 and
+    0.6 of the mass: every r of ``RANK_GRID`` takes the Beta route."""
+    return DiscreteDistribution.from_probs(
+        np.repeat([0.0, 0.002, 0.004, 0.06], [7, 100, 50, 10])
+    )
+
+
+class StubStream:
+    """The oracle's generator on stage one's Beta route, stubbed: a fixed
+    Beta variate, with the Beta arguments kept.  Any other draw fails."""
+
+    def __init__(self, variate: float) -> None:
         self.variate = variate
         self.beta_args = []
-
-    def multinomial(self, count, cells):
-        assert count == self.hits.sum() and len(cells) == self.hits.size
-        return self.hits.copy()
 
     def beta(self, a, b):
         self.beta_args.append((a, b))
         return self.variate
 
 
+class SpyStream:
+    """The oracle's generator, with the variates of its Beta draws kept."""
+
+    def __init__(self, rng) -> None:
+        self.rng = rng
+        self.variates = []
+
+    def beta(self, a, b):
+        self.variates.append(self.rng.beta(a, b))
+        return self.variates[-1]
+
+
 class TestPlannedRank:
-    # the k select_pivot passes, seen through the counts route: the run
-    # counts put k at rank 7 of the 20 draws in the middle run, so the Beta
-    # arguments and the offset follow from k alone
-    @pytest.mark.parametrize(
-        "eps, beta",
-        # theta * r is 4950, 18 900, 18 900 and 4950 (integers, where the
-        # strict rank matters), then 8600.3225
-        [
-            ("0.2", "0.2"),
-            ("0.1", "0.1"),
-            ("0.3", "0.1"),
-            ("0.25", "0.2"),
-            ("0.35", "0.15"),
-        ],
-    )
+    # the k select_pivot passes, seen through the Beta route: the Beta
+    # arguments follow from k alone, and a fixed variate from the mass
+    @pytest.mark.parametrize("eps, beta", RANK_GRID)
     def test_counts_route_takes_the_planned_rank(self, eps, beta):
-        # runs: 7 zeros, then 100, 50 and 10 elements
-        probs = np.repeat([0.0, 0.002, 0.004, 0.06], [7, 100, 50, 10])
-        dist = DiscreteDistribution.from_probs(probs)
+        dist = three_run_distribution()
         params = EstimatorParams(float(eps), float(beta), 0.2)
         r_size, _ = sample_sizes(params)
-        assert takes_counts_route(dist, r_size)
-        # the smallest 0-based k with k + 1 > theta * r, exactly
-        theta = (1 + Fraction(beta) / 2) * Fraction(eps)
-        k = min(math.floor(theta * r_size), r_size - 1)
-        stream = StubStream([k - 7, 20, r_size - k - 13], variate=0.5)
+        assert not stage_one_draws(dist, r_size)
+        k = planned_rank(eps, beta, r_size)
+        stream = StubStream(variate=0.302)
         oracle = DualOracle(dist, seed=1)
         oracle._rng = stream
         position, prob = select_pivot(oracle, params)
-        assert stream.beta_args == [(8, 13)]
-        assert (position, prob) == (7 + 100 + 25, 0.004)  # floor(50 * 0.5)
+        assert stream.beta_args == [(k + 1, r_size - k)]
+        # 0.302 of the mass is 0.102 into the middle run: floor(0.102 / 0.004)
+        assert (position, prob) == (7 + 100 + 25, 0.004)
         assert oracle.query_counts() == (r_size, r_size)
+
+    @pytest.mark.parametrize("variate, position", [(0.0, 7), (0.5, 158), (1.0, 166)])
+    def test_variate_maps_through_the_run_index(self, variate, position):
+        # a variate of 0 skips the zero run, 0.5 of the mass is 0.1 into the
+        # heavy run (floor(0.1 / 0.06) = 1), and 1 is the last position
+        oracle = DualOracle(three_run_distribution(), seed=1)
+        oracle._rng = StubStream(variate)
+        assert oracle.order_statistic(200, 50)[0] == position
+
+    @pytest.mark.parametrize("count, k", [(22_500, 4950), (200, 20), (200, 100), (200, 180)])
+    def test_variate_follows_the_beta_law_of_rank_k(self, count, k):
+        # stage one's one variate is the (k+1)-th smallest of r uniforms
+        variates = []
+        for i in range(2000):
+            oracle = DualOracle(three_run_distribution(), derive_seed(57 + k, i))
+            oracle._rng = spy = SpyStream(oracle._rng)
+            oracle.order_statistic(count, k)
+            variates += spy.variates
+        assert len(variates) == 2000
+        law = stats.beta(k + 1, count - k)
+        assert stats.kstest(variates, law.cdf).pvalue > 0.01
 
 
 class TestEstimateEss:
@@ -439,6 +479,7 @@ class RecordingOracle(DualOracle):
     def __init__(self, dist, seed):
         super().__init__(dist, seed)
         self.calls = []
+        self.ranks = []  # the k of each order_statistic call
 
     def _record(self, name, count, method, *args):
         before = self.query_counts()
@@ -459,6 +500,7 @@ class RecordingOracle(DualOracle):
         )
 
     def order_statistic(self, count, k):
+        self.ranks.append(k)
         return self._record("order_statistic", count, super().order_statistic, count, k)
 
     def inverse_prob_sum(self, count, pivot):
@@ -495,6 +537,47 @@ class TestProbabilityRevealingDiscipline:
         ]
 
 
+def rank_mismatches(dist) -> list:
+    """The RANK_GRID points where stage one is asked for another k than
+    the planned rank, with the k it was asked for."""
+    wrong = []
+    for eps, beta in RANK_GRID:
+        params = EstimatorParams(float(eps), float(beta), 0.2)
+        r_size, _ = sample_sizes(params)
+        oracle = RecordingOracle(dist, seed=46)
+        select_pivot(oracle, params)
+        if oracle.ranks != [planned_rank(eps, beta, r_size)]:
+            wrong.append((eps, beta, oracle.ranks))
+    return wrong
+
+
+class TestRecordedRank:
+    # the k select_pivot passes to order_statistic, recorded by the spy and
+    # held against the exact rank on both routes: no stage-one internals.
+    # zipf n=30 000 keeps every r of RANK_GRID (at most 180 000) on the
+    # draw route, and the three runs keep them all on the Beta route
+    @pytest.fixture(scope="class", params=["beta-route", "draw-route"])
+    def dist_and_route(self, request):
+        if request.param == "beta-route":
+            return three_run_distribution(), False
+        return make_distribution(parse_spec("zipf:n=30000,s=1.0")), True
+
+    def test_stage_one_is_asked_for_the_planned_rank(self, dist_and_route):
+        dist, draws = dist_and_route
+        for eps, beta in RANK_GRID:
+            r_size, _ = sample_sizes(EstimatorParams(float(eps), float(beta), 0.2))
+            assert stage_one_draws(dist, r_size) is draws
+        assert rank_mismatches(dist) == []
+
+    def test_a_rank_one_too_high_is_rejected(self, dist_and_route, monkeypatch):
+        planned = _strict_rank_index
+        monkeypatch.setattr(
+            "ess_toolkit.estimator._strict_rank_index",
+            lambda threshold, size: planned(threshold, size) + 1,
+        )
+        assert len(rank_mismatches(dist_and_route[0])) == len(RANK_GRID)
+
+
 LAW_FIXTURES = [
     "zipf:n=1000,s=1.0",
     "geometric:n=1000,rho=0.99",
@@ -516,7 +599,7 @@ class TestStatisticsMatchDrawReference:
         r_size, _ = sample_sizes(params)
         theta = (1.0 + params.beta_eff / 2.0) * params.eps
         seeds = [derive_seed(9_100_000, i) for i in range(200)]
-        if takes_counts_route(dist, r_size):
+        if not stage_one_draws(dist, r_size):
             # no draws to sort: the pivot follows the law of the planned rank
             oracles = [DualOracle(dist, seed) for seed in seeds]
             positions = np.array([select_pivot(oracle, params)[0] for oracle in oracles])
@@ -539,7 +622,7 @@ class TestStatisticsMatchDrawReference:
     def test_every_order_statistic_matches_lexsort(self, source):
         dist = make_distribution(parse_spec(source))
         ranks = (0, 1, 137, 250, 498, 499)
-        if takes_counts_route(dist, 500):
+        if not stage_one_draws(dist, 500):
             # no draws to sort: each rank's position follows its law, over
             # enough seeds of the same family for a chi-square
             seeds = [derive_seed(9_200_000, i) for i in range(2000)]

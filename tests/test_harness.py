@@ -26,6 +26,8 @@ from ess_toolkit import (
     EstimatorParams,
 )
 
+from ess_toolkit.oracle import AliasTable
+
 from conftest import validate
 
 
@@ -336,6 +338,42 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert (report.band_low, report.band_high) == (761.0, 801.0)
         assert report.success_rate >= 0.60
+
+
+class TestAliasTableBuild:
+    # only a plan whose stage one draws reads the alias table: it is built
+    # once, before the first trial is timed, and never on the Beta route
+    @staticmethod
+    def events(monkeypatch, config) -> list:
+        events = []
+        build, estimate = AliasTable.__init__, harness.estimate_ess
+
+        def spied_build(table, dist):
+            events.append("build")
+            build(table, dist)
+
+        def spied_estimate(oracle, params):
+            events.append("trial")
+            return estimate(oracle, params)
+
+        monkeypatch.setattr(AliasTable, "__init__", spied_build)
+        monkeypatch.setattr(harness, "estimate_ess", spied_estimate)
+        run_experiment(config)
+        return events
+
+    def test_beta_route_input_builds_no_table(self, monkeypatch):
+        # r = 22 500 draws over 2 positive runs take the Beta route
+        config = small_config(dist_source="two_tier:n=1000,h=10,H=0.5,pad=5", trials=3)
+        assert self.events(monkeypatch, config) == ["trial"] * 3
+
+    def test_draw_route_input_builds_one_table_first(self, monkeypatch):
+        # r = 22 500 draws over 5000 runs take the draw route
+        config = small_config(dist_source="zipf:n=5000,s=1.0", trials=3)
+        assert self.events(monkeypatch, config) == ["build"] + ["trial"] * 3
+
+    def test_degenerate_plan_builds_no_table(self, monkeypatch):
+        config = small_config(eps=0.9, trials=2)
+        assert self.events(monkeypatch, config) == ["trial"] * 2
 
 
 class TestEmitReport:

@@ -10,7 +10,7 @@ from ess_toolkit import (
     derive_seed,
 )
 from ess_toolkit.generators import GeneratorSpec, make_distribution, parse_spec
-from ess_toolkit.oracle import AliasTable, sampler_table, stage_one_by_counts
+from ess_toolkit.oracle import AliasTable, sampler_table, stage_one_draws
 
 from conftest import (
     chi_square_pvalue,
@@ -19,7 +19,6 @@ from conftest import (
     order_statistic_cdf,
     position_law_pvalue,
     random_simplex_distribution,
-    takes_counts_route,
     traced_peak,
     validate,
 )
@@ -202,10 +201,15 @@ class TestDistributionalCorrectness:
 class TestSamplerTable:
     def test_cached_per_distribution(self):
         dist = make_distribution(GeneratorSpec("uniform", n=10))
-        assert sampler_table(dist) is sampler_table(dist)
         first = DualOracle(dist, 1)
         second = DualOracle(dist, 2)
-        assert first._table is second._table
+        assert dist._alias_table is None  # an oracle builds no table
+        first.samp_many(3)
+        table = sampler_table(dist)
+        second.samp_many(3)
+        assert sampler_table(dist) is table
+        assert DualOracle(dist, 3).order_statistic(5, 2)[1] == 0.1  # draw route
+        assert sampler_table(dist) is table
 
     def test_zero_probs_excluded_from_table(self):
         dist = make_distribution(GeneratorSpec("uniform", n=8, zero_pad=100))
@@ -357,7 +361,7 @@ class TestOrderStatistic:
         # more draws than one chunk: still the k-th of the whole stream
         dist = make_distribution(GeneratorSpec("zipf", n=30_000, s=1.0))
         count = 200_001
-        assert not takes_counts_route(dist, count)
+        assert stage_one_draws(dist, count)
         labels = DualOracle(dist, seed=3).samp_many(count)
         probs = dist.probs[labels.astype(np.int64)]
         order = np.lexsort((labels, probs))
@@ -370,7 +374,7 @@ class TestOrderStatistic:
     def test_same_draw_as_the_references(self, count):
         dist = make_distribution(parse_spec("two_tier:n=500,h=5,H=0.5,pad=3"))
         k = count // 2
-        if takes_counts_route(dist, count):
+        if not stage_one_draws(dist, count):
             # no draws to compare: the position follows the law of rank k
             oracles = [DualOracle(dist, derive_seed(21, i)) for i in range(2000)]
             positions = np.array([o.order_statistic(count, k)[0] for o in oracles])
@@ -390,7 +394,7 @@ class TestOrderStatistic:
 
     def test_scattered_labels(self):
         dist = validate({2**63 + 9: 0.5, 17: 0.25, 2**40: 0.25})
-        assert not takes_counts_route(dist, 16)
+        assert stage_one_draws(dist, 16)
         labels, probs = DualOracle(dist, seed=4).sample_with_prob_many(16)
         order = np.lexsort((labels, probs))
         expected = (int(labels[order[10]]), float(probs[order[10]]))
@@ -398,7 +402,7 @@ class TestOrderStatistic:
         assert label_pivot(dist, pivot) == expected
 
     def test_counts_route_holds_no_array_of_the_draws(self):
-        # 10**15 draws would not fit in memory: the counts route makes none
+        # 10**15 draws would not fit in memory: the Beta route makes none
         dist = make_distribution(parse_spec("two_tier:n=1000,h=10,H=0.5,pad=5"))
         oracle = DualOracle(dist, seed=22)
         position, prob = oracle.order_statistic(10**15, 10**15 // 4)
@@ -416,16 +420,24 @@ class TestOrderStatistic:
 
 class TestStageOneRoute:
     @pytest.mark.parametrize(
-        "runs, count, by_counts",
+        "spec, count, draws",
         [
-            # the benchmark's stage ones: positive runs and r
-            pytest.param(2, 22_500, True, id="cli-file-1e6"),
-            pytest.param(100_000, 90_000, False, id="uni-zipf-draws"),
-            pytest.param(100_000, 360_000, False, id="bi-pivot-sweep"),
+            # the benchmark's stage ones: its inputs (the CSV's 2 runs as
+            # two_tier) and r
+            pytest.param("two_tier:n=10000,h=10,H=0.5", 22_500, False, id="cli-file-1e6"),
+            pytest.param("zipf:n=100000,s=1.0", 90_000, True, id="uni-zipf-draws"),
+            pytest.param("geometric:n=100000,rho=0.999", 360_000, True, id="bi-pivot-sweep"),
         ],
     )
-    def test_benchmark_configs(self, runs, count, by_counts):
-        assert stage_one_by_counts(runs, count) is by_counts
+    def test_benchmark_configs(self, spec, count, draws):
+        assert stage_one_draws(make_distribution(parse_spec(spec)), count) is draws
+
+    def test_positive_runs_are_counted(self):
+        # 2 positive runs and a zero run: 16 draws stay on the draw route,
+        # 17 take the Beta route
+        dist = make_distribution(parse_spec("two_tier:n=100,h=10,H=0.5,pad=5"))
+        assert stage_one_draws(dist, 16)
+        assert not stage_one_draws(dist, 17)
 
 
 class TestOrderStatisticLaw:
