@@ -131,7 +131,10 @@ class DiscreteDistribution:
         run_bounds = np.concatenate(([0], changes + 1, [scratch.size]))
         del changes
         self.run_values = scratch[run_bounds[:-1]]
-        np.cumsum(scratch, out=scratch)
+        # finite rows can sum past the float range: the mass check below
+        # reports that, after the duplicate-label check
+        with np.errstate(over="ignore"):
+            np.cumsum(scratch, out=scratch)
         self.run_cumulative = scratch[run_bounds[1:] - 1]
         del scratch
         # equal neighbours among the sorted labels are duplicates
@@ -143,7 +146,10 @@ class DiscreteDistribution:
         # fsum reads the floats straight from the buffer, in input order:
         # no list of n floats, and ascending order would be several times
         # slower
-        total = math.fsum(memoryview(prob_arr))
+        try:
+            total = math.fsum(memoryview(prob_arr))
+        except OverflowError:
+            total = math.inf
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise MassNotOneError(
                 f"probabilities sum to {total!r}, expected 1 within {MASS_TOLERANCE}"

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,12 @@ class EstimatorParams:
     band verdict rounds the estimate (``in_band``).  The parameters are
     stored as floats.  Range checks, the ``SLACK_CAP`` clamp, the
     degenerate rule, the band levels and the band verdict all live here.
+
+    So do the two stages' numbers: the stage sizes ``sizes`` (the pivot
+    batch r and the averaging batch t) and stage one's rank ``pivot_rank``
+    (k).  Each is computed on first read and kept on the plan, so an
+    experiment works them out once, not once a trial; a plan whose sizes
+    do not fit fails when they are read, not when it is made.
     """
 
     eps: float
@@ -123,6 +130,37 @@ class EstimatorParams:
         to ess(eps), and 1 for bicriteria."""
         return 1.0 + self.gamma_eff if self.gamma is None else 1.0
 
+    @cached_property
+    def sizes(self) -> tuple[int, int]:
+        """Stage sizes (pivot batch r, averaging batch t).
+
+        Both depend only on (eps, stage_beta, gamma_eff) -- never on the
+        distribution being queried.  Raises OutOfRangeError naming r or t
+        when a size is not finite or does not fit a signed 64-bit count, and
+        naming r when stage one's positions, at most 8 bytes a draw, would
+        not fit the address space.
+        """
+        eps = self.eps
+        beta = self.stage_beta
+        gamma = self.gamma_eff
+        r_size = _ceil_sample_size("r", PIVOT_SAMPLE_CONSTANT, beta * beta * eps)
+        if 8 * r_size > np.iinfo(np.intp).max:
+            raise OutOfRangeError(
+                f"r = {r_size:.3g} draws need {8 * r_size:.3g} bytes of positions, "
+                "more than an array can address"
+            )
+        t_size = _ceil_sample_size("t", MEAN_SAMPLE_CONSTANT, eps * beta * gamma * gamma)
+        return r_size, t_size
+
+    @cached_property
+    def pivot_rank(self) -> int:
+        """0-based rank k of the pivot among stage one's r draws: the
+        smallest whose 1-based rank strictly exceeds theta * r, at the level
+        theta = (1 + stage_beta/2) * eps."""
+        r_size = self.sizes[0]
+        theta = (1.0 + self.stage_beta / 2.0) * self.eps
+        return _strict_rank_index(theta * r_size, r_size)
+
     def in_band(self, estimate: float, low: float, high: float) -> bool:
         """Whether ``estimate`` lies in the band [low, high] of valid answers,
         within ``BAND_RELATIVE_TOLERANCE * high`` at both ends.
@@ -146,7 +184,7 @@ class EstimateResult:
     ``estimate`` is the calibrated output; ``raw_mean`` the plain stage-two
     average it was derived from.  ``pivot`` is the stage-one (canonical
     position, prob) pair, or None on the degenerate path.  Query counters
-    cover this run only; :func:`sample_sizes` gives the stage sizes.
+    cover this run only; :attr:`EstimatorParams.sizes` gives the stage sizes.
     """
 
     estimate: float
@@ -168,25 +206,9 @@ def _ceil_sample_size(name: str, constant: float, denominator: float) -> int:
 
 
 def sample_sizes(params: EstimatorParams) -> tuple[int, int]:
-    """Stage sizes (pivot batch r, averaging batch t).
-
-    Both depend only on (eps, stage_beta, gamma_eff) -- never on the
-    distribution being queried.  Raises OutOfRangeError naming r or t when
-    a size is not finite or does not fit a signed 64-bit count, and naming
-    r when stage one's positions, at most 8 bytes a draw, would not fit
-    the address space.
-    """
-    eps = params.eps
-    beta = params.stage_beta
-    gamma = params.gamma_eff
-    r_size = _ceil_sample_size("r", PIVOT_SAMPLE_CONSTANT, beta * beta * eps)
-    if 8 * r_size > np.iinfo(np.intp).max:
-        raise OutOfRangeError(
-            f"r = {r_size:.3g} draws need {8 * r_size:.3g} bytes of positions, "
-            "more than an array can address"
-        )
-    t_size = _ceil_sample_size("t", MEAN_SAMPLE_CONSTANT, eps * beta * gamma * gamma)
-    return r_size, t_size
+    """Stage sizes (pivot batch r, averaging batch t) of the plan:
+    :attr:`EstimatorParams.sizes`."""
+    return params.sizes
 
 
 def _strict_rank_index(threshold: float, size: int) -> int:
@@ -222,15 +244,13 @@ def empirical_quantile(labels, probs, theta: float) -> tuple[int, float]:
 
 
 def select_pivot(oracle: DualOracle, params: EstimatorParams) -> tuple[int, float]:
-    """Run stage one: draw the pivot batch and return the (canonical
-    position, prob) of its quantile element."""
+    """Run stage one: draw the plan's pivot batch of r and return the
+    (canonical position, prob) of its element of rank ``pivot_rank``."""
     if params.is_degenerate:
         raise OutOfRangeError(
             "degenerate parameters: any single element is already a valid answer"
         )
-    r_size, _ = sample_sizes(params)
-    theta = (1.0 + params.stage_beta / 2.0) * params.eps
-    return oracle.order_statistic(r_size, _strict_rank_index(theta * r_size, r_size))
+    return oracle.order_statistic(params.sizes[0], params.pivot_rank)
 
 
 def inverse_prob_terms(labels, probs, pivot: tuple[int, float]) -> np.ndarray:
@@ -263,7 +283,7 @@ def estimate_ess(oracle: DualOracle, params: EstimatorParams) -> EstimateResult:
     if params.is_degenerate:
         return EstimateResult(1.0, 1.0, None, 0, 0)  # no pivot, no queries
     samp_before, eval_before = oracle.query_counts()
-    _, t_size = sample_sizes(params)
+    t_size = params.sizes[1]
     pivot = select_pivot(oracle, params)
     raw_mean = oracle.inverse_prob_sum(t_size, pivot) / t_size
     estimate = (1.0 + params.gamma_eff / 2.0) * raw_mean / params.output_divisor

@@ -23,7 +23,7 @@ from .distribution import (
     read_distribution,
 )
 from .errors import OutOfRangeError
-from .estimator import EstimatorParams, estimate_ess, sample_sizes
+from .estimator import EstimatorParams, estimate_ess
 from .generators import FAMILIES, make_distribution, parse_spec
 from .oracle import DualOracle, derive_seed, sampler_table, stage_one_draws
 
@@ -84,7 +84,7 @@ class ExperimentConfig:
         for name in ("eps", "beta", "gamma"):
             object.__setattr__(self, name, getattr(params, name))
         if not params.is_degenerate:
-            sample_sizes(params)  # stage sizes that overflow fail before loading
+            params.sizes  # stage sizes that overflow fail before loading
 
     @property
     def params(self) -> EstimatorParams:
@@ -196,7 +196,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     )
     params = config.params
     # the one alias table the trials draw from, built before the first is timed
-    if not params.is_degenerate and stage_one_draws(dist, sample_sizes(params)[0]):
+    if not params.is_degenerate and stage_one_draws(dist, params.sizes[0]):
         sampler_table(dist)
     records = []
     for index in range(config.trials):

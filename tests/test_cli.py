@@ -177,6 +177,13 @@ class TestExact:
             ("minus_zero_label.csv", "label,prob\n-0,1.0\n", "CSV line 2"),
             ("wide_char.csv", "label,prob\n\U000bfad6,1.0\n", "CSV line 2"),
             ("no_label.json", '[{"label": 0, "prob": 1.0}, {"prob": 0}]', "JSON row 1"),
+            # every row is finite, but their mass is beyond the float range
+            ("mass_overflow.csv", "label,prob\n0,1e308\n1,1e308\n", "sum to inf"),
+            (
+                "mass_overflow.json",
+                '[{"label": 0, "prob": 1e308}, {"label": 1, "prob": 1e308}]',
+                "sum to inf",
+            ),
             ("list_row.json", '[[0, 0.5], [1, 0.5]]', "JSON row 0"),
             ("object_prob.json", '[{"label": 1, "prob": {}}]', "must be numbers"),
             (

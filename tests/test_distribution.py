@@ -85,6 +85,10 @@ class TestValidate:
             # a bool is not a label, as a bool array is not
             ([True, False], ["0.5", "0.5"], OutOfRangeError, "label True is not an integer"),
             ([0, 1, 2], ["0.5", "0.5"], OutOfRangeError, "probabilities must be numbers"),
+            # finite rows whose mass is beyond the float range: the duplicate
+            # still comes first, and the mass fails with no numpy warning
+            ([3, 3], [1e308, 1e308], DuplicateLabelError, "labels within one distribution must be unique"),
+            ([3, 4], [1e308, 1e308], MassNotOneError, "probabilities sum to inf, expected 1 within 1e-09"),
         ],
     )
     def test_first_failed_check_is_reported(self, labels, probs, error, message):

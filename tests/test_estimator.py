@@ -11,6 +11,7 @@ from ess_toolkit import (
     DualOracle,
     EmptySampleError,
     EstimatorParams,
+    ExperimentConfig,
     OutOfRangeError,
     SLACK_CAP,
     derive_seed,
@@ -262,9 +263,10 @@ RANK_GRID = [
 ]
 
 
-def planned_rank(eps: str, beta: str, r_size: int) -> int:
+def planned_rank(eps: str, beta, r_size: int) -> int:
     """The smallest 0-based k with k + 1 > theta * r, theta = (1 + beta/2)
-    eps, in exact arithmetic on the decimal parameters."""
+    eps, in exact arithmetic on the decimal parameters; ``beta`` is the
+    stages' slack, a decimal string or a Fraction."""
     theta = (1 + Fraction(beta) / 2) * Fraction(eps)
     return min(math.floor(theta * r_size), r_size - 1)
 
@@ -341,6 +343,40 @@ class TestPlannedRank:
         assert len(variates) == 2000
         law = stats.beta(k + 1, count - k)
         assert stats.kstest(variates, law.cdf).pvalue > 0.01
+
+
+class TestPlan:
+    # the plan's stage sizes and rank against the paper's formulas, in exact
+    # arithmetic on the decimal parameters: unicriterion runs both stages at
+    # half the slack, with gamma = eps * beta / 2
+    @pytest.mark.parametrize("mode", ["bicriteria", "unicriterion"])
+    @pytest.mark.parametrize("eps, beta", RANK_GRID)
+    def test_sizes_and_rank_follow_the_paper(self, eps, beta, mode):
+        if mode == "bicriteria":
+            params = EstimatorParams(float(eps), float(beta), 0.2)
+            stage_beta, gamma = Fraction(beta), Fraction("0.2")
+        else:
+            params = EstimatorParams(float(eps), float(beta))
+            stage_beta = Fraction(beta) / 2
+            gamma = Fraction(eps) * stage_beta
+        r_size = math.ceil(180 / (stage_beta**2 * Fraction(eps)))
+        t_size = math.ceil(500 / (Fraction(eps) * stage_beta * gamma**2))
+        assert params.sizes == sample_sizes(params) == (r_size, t_size)
+        assert params.pivot_rank == planned_rank(eps, stage_beta, r_size)
+
+    def test_degenerate_plan_never_reads_its_sizes(self):
+        # (1 + 1e-8) * 0.999999995 >= 1, and r = 1.8e18 draws would need
+        # 1.44e19 bytes of positions: the plan, the estimate and the config
+        # stand, and only reading the sizes fails
+        params = EstimatorParams(0.999999995, 1e-8, 0.2)
+        assert params.is_degenerate
+        oracle = DualOracle(validate({A: 0.5, B: 0.5}), seed=6)
+        assert estimate_ess(oracle, params).estimate == 1.0
+        config = ExperimentConfig("uniform:n=10", 0.999999995, 1e-8, 0.2, "bicriteria", 1, 0)
+        assert config.params == params
+        for plan in (params, config.params):
+            with pytest.raises(OutOfRangeError, match="^r = .* bytes of positions"):
+                plan.sizes
 
 
 class TestEstimateEss:
@@ -437,39 +473,56 @@ class TestEstimateEss:
         assert abs(mean - exact_ess(dist, eps)) <= 3 * stderr
 
 
-class TestStandardisedEstimates:
-    # the whole estimator against stage two's exact law given the pivot it
-    # returned: undone by the paper's calibration factor c, an estimate is
-    # the mean of t terms with mean m_j and variance sigma_j^2 / t
-    @pytest.mark.parametrize(
-        "spec, params, trials",
-        [
-            ("zipf:n=2000,s=1.0", EstimatorParams(0.5, 0.2, 0.2), 2000),
-            ("two_tier:n=2000,h=20,H=0.5", EstimatorParams(0.3, 0.2, 0.2), 2000),
-            ("geometric:n=2000,rho=0.999,pad=50", EstimatorParams(0.5, 0.2), 1000),
-        ],
+# (source, plan, trials) of TestStandardisedEstimates
+STANDARDISED_FIXTURES = [
+    ("zipf:n=2000,s=1.0", EstimatorParams(0.5, 0.2, 0.2), 2000),
+    ("two_tier:n=2000,h=20,H=0.5", EstimatorParams(0.3, 0.2, 0.2), 2000),
+    ("geometric:n=2000,rho=0.999,pad=50", EstimatorParams(0.5, 0.2), 1000),
+]
+
+
+def standardised_estimates(spec: str, params: EstimatorParams, trials: int) -> np.ndarray:
+    """The estimates of ``trials`` pinned-seed runs, standardised by stage
+    two's exact law given the pivot each returned: undone by the paper's
+    calibration factor c, an estimate is the mean of t terms with mean m_j
+    and variance sigma_j^2 / t."""
+    dist = make_distribution(parse_spec(spec))
+    _, t_size = sample_sizes(params)
+    # c written out from the paper: (1 + gamma/2), and for unicriterion
+    # divided by (1 + gamma) with gamma = eps * beta_eff / 2
+    if params.gamma is None:
+        gamma = params.eps * min(params.beta, SLACK_CAP) / 2
+        c = (1 + gamma / 2) / (1 + gamma)
+    else:
+        c = 1 + min(params.gamma, SLACK_CAP) / 2
+    moments = {}
+    z = np.empty(trials)
+    for i in range(trials):
+        result = estimate_ess(DualOracle(dist, derive_seed(53, i)), params)
+        position = result.pivot[0]
+        if position not in moments:
+            moments[position] = inverse_prob_term_moments(dist, position)
+        mean, variance = moments[position]
+        z[i] = (result.estimate / c - mean) / math.sqrt(variance / t_size)
+    return z
+
+
+def standardised_moments_hold(z: np.ndarray) -> tuple[bool, bool]:
+    """Whether the mean of ``z`` lies within 4 standard errors of 0, and its
+    variance within 4 standard errors of 1."""
+    trials = z.size
+    return (
+        abs(z.mean()) <= 4.0 / math.sqrt(trials),
+        abs(z.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (trials - 1)),
     )
+
+
+class TestStandardisedEstimates:
+    # the whole estimator against stage two's exact law given its pivot
+    @pytest.mark.parametrize("spec, params, trials", STANDARDISED_FIXTURES)
     def test_mean_0_and_variance_1(self, spec, params, trials):
-        dist = make_distribution(parse_spec(spec))
-        _, t_size = sample_sizes(params)
-        # c written out from the paper: (1 + gamma/2), and for unicriterion
-        # divided by (1 + gamma) with gamma = eps * beta_eff / 2
-        if params.gamma is None:
-            gamma = params.eps * min(params.beta, SLACK_CAP) / 2
-            c = (1 + gamma / 2) / (1 + gamma)
-        else:
-            c = 1 + min(params.gamma, SLACK_CAP) / 2
-        moments = {}
-        z = np.empty(trials)
-        for i in range(trials):
-            result = estimate_ess(DualOracle(dist, derive_seed(53, i)), params)
-            position = result.pivot[0]
-            if position not in moments:
-                moments[position] = inverse_prob_term_moments(dist, position)
-            mean, variance = moments[position]
-            z[i] = (result.estimate / c - mean) / math.sqrt(variance / t_size)
-        assert abs(z.mean()) <= 4.0 / math.sqrt(trials), z.mean()
-        assert abs(z.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (trials - 1)), z.var(ddof=1)
+        z = standardised_estimates(spec, params, trials)
+        assert standardised_moments_hold(z) == (True, True), (z.mean(), z.var(ddof=1))
 
 
 class RecordingOracle(DualOracle):
@@ -551,16 +604,21 @@ def rank_mismatches(dist) -> list:
     return wrong
 
 
+def recorded_rank_distribution(route: str) -> DiscreteDistribution:
+    """The input of TestRecordedRank on stage one's ``route``: zipf n=30 000
+    keeps every r of RANK_GRID (at most 180 000) on the draw route, and the
+    three runs keep them all on the Beta route."""
+    if route == "beta-route":
+        return three_run_distribution()
+    return make_distribution(parse_spec("zipf:n=30000,s=1.0"))
+
+
 class TestRecordedRank:
     # the k select_pivot passes to order_statistic, recorded by the spy and
-    # held against the exact rank on both routes: no stage-one internals.
-    # zipf n=30 000 keeps every r of RANK_GRID (at most 180 000) on the
-    # draw route, and the three runs keep them all on the Beta route
+    # held against the exact rank on both routes: no stage-one internals
     @pytest.fixture(scope="class", params=["beta-route", "draw-route"])
     def dist_and_route(self, request):
-        if request.param == "beta-route":
-            return three_run_distribution(), False
-        return make_distribution(parse_spec("zipf:n=30000,s=1.0")), True
+        return recorded_rank_distribution(request.param), request.param == "draw-route"
 
     def test_stage_one_is_asked_for_the_planned_rank(self, dist_and_route):
         dist, draws = dist_and_route

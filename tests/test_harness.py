@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ess_toolkit import harness
+from ess_toolkit import estimator, harness
 from ess_toolkit import (
     ExperimentConfig,
     GeneratorSpec,
@@ -229,6 +229,24 @@ class TestRunExperiment:
             assert trial.samp_queries == r_size + t_size
             assert trial.eval_queries == trial.samp_queries
         assert report.total_samp_queries == 5 * (r_size + t_size)
+
+    def test_more_trials_form_no_more_sizes(self, monkeypatch):
+        # the config checks the sizes of its plan, and the trials share one
+        # plan, so more trials form no more sizes
+        calls = []
+        size = estimator._ceil_sample_size
+
+        def spied_size(*args):
+            calls.append(args[0])
+            return size(*args)
+
+        monkeypatch.setattr(estimator, "_ceil_sample_size", spied_size)
+        counts = []
+        for trials in (1, 7):
+            calls.clear()
+            run_experiment(small_config(trials=trials))
+            counts.append(list(calls))
+        assert counts[0] == counts[1] == ["r", "t"] * 2
 
     def test_records_are_ordered_and_seeded(self):
         report = run_experiment(small_config(trials=8))
