@@ -40,6 +40,53 @@ _UINT64_MAX = 2**64 - 1
 
 _SLICE = 1 << 16
 
+# exact_sum's two work arrays of one chunk (512 KiB) stay in L2.  A level's
+# sigma is 2**_GUARD_BITS times the least power of two above the chunk's
+# largest magnitude; 2**_GUARD_BITS > _SUM_CHUNK + 2 keeps the level's sum
+# exact
+_SUM_CHUNK = 1 << 15
+_GUARD_BITS = 16
+# a chunk whose sigma would pass 2**1023 leaves the vector path unsplit
+_SUM_SPLIT_LIMIT = 2.0 ** (1023 - _GUARD_BITS)
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """``math.fsum`` of a finite, nonnegative float64 array, bit for bit.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31(1), 2008): per chunk, q =
+    (r + sigma) - sigma keeps each value's bits above 2**-53 * sigma, the
+    sum of q is exact, and r - q is exact and signed.  Each level's sum
+    joins a short list of parts until the chunk's remainders are all zero,
+    and ``math.fsum`` of the parts rounds their exact total once, as
+    ``math.fsum`` of the values does.  A sum that could come near the float
+    maximum is left to ``math.fsum`` of the values, which raises
+    ``OverflowError`` where it would.
+    """
+    parts = []
+    high = np.empty(min(values.size, _SUM_CHUNK))
+    rest = np.empty_like(high)
+    for start in range(0, values.size, _SUM_CHUNK):
+        chunk = values[start : start + _SUM_CHUNK]
+        top = chunk.max()
+        while top:
+            if top >= _SUM_SPLIT_LIMIT:
+                return math.fsum(memoryview(values))
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + _GUARD_BITS)
+            q = high[: chunk.size]
+            np.add(chunk, sigma, out=q)
+            q -= sigma
+            parts.append(float(q.sum()))
+            chunk = np.subtract(chunk, q, out=rest[: chunk.size])
+            # remainders are signed: stopping on the largest alone would
+            # drop a level whose remainders are all negative
+            top = max(chunk.max(), -chunk.min())
+    try:
+        total = math.fsum(parts)
+    except OverflowError:
+        total = math.inf
+    return total if total < 2.0**1023 else math.fsum(memoryview(values))
+
 
 def _as_label_array(values) -> np.ndarray:
     if isinstance(values, np.ndarray):
@@ -79,11 +126,15 @@ class DiscreteDistribution:
     sorted probabilities (``np.cumsum``, element by element) at the run's
     last position.  Which label sits where inside a run changes no count;
     :func:`canonical_order` builds the full permutation on demand.
-    ``total`` is the exactly rounded sum of the probabilities
-    (``math.fsum``), the mass samplers normalize by.  Instances keep 16
-    bytes an element plus the run index, and construction peaks at 17
-    bytes an element above the caller's arrays.  Instances are immutable
-    afterwards and safe to share across threads.
+    ``total`` is the exactly rounded sum of the probabilities, the mass
+    samplers normalize by: :func:`exact_sum`, bit for bit ``math.fsum``,
+    in extraction passes over 32 Ki-element chunks that hold 512 KiB
+    however long the input.  Labels in strictly increasing order, as every
+    generator gives them, are unique by one comparison pass; others are
+    sorted to find duplicates.  Instances keep 16 bytes an element plus
+    the run index, and construction peaks at 17 bytes an element above the
+    caller's arrays.  Instances are immutable afterwards and safe to share
+    across threads.
 
     Elements with probability 0 are kept in the table -- they model padding
     of the universe with unreachable items -- but they never influence
@@ -137,17 +188,18 @@ class DiscreteDistribution:
             np.cumsum(scratch, out=scratch)
         self.run_cumulative = scratch[run_bounds[1:] - 1]
         del scratch
-        # equal neighbours among the sorted labels are duplicates
-        sorted_labels = np.sort(label_arr)
-        if np.any(sorted_labels[1:] == sorted_labels[:-1]):
-            raise DuplicateLabelError("labels within one distribution must be unique")
-        del sorted_labels
+        # strictly increasing labels (every generator's) are unique with no
+        # sort; otherwise equal neighbours among the sorted labels are
+        # duplicates
+        if not np.all(label_arr[1:] > label_arr[:-1]):
+            sorted_labels = np.sort(label_arr)
+            if np.any(sorted_labels[1:] == sorted_labels[:-1]):
+                raise DuplicateLabelError("labels within one distribution must be unique")
+            del sorted_labels
         prob_arr = prob_in.copy()
-        # fsum reads the floats straight from the buffer, in input order:
-        # no list of n floats, and ascending order would be several times
-        # slower
+        # the exact sum's work arrays take 512 KiB, not another array of n
         try:
-            total = math.fsum(memoryview(prob_arr))
+            total = exact_sum(prob_arr)
         except OverflowError:
             total = math.inf
         if abs(total - 1.0) > MASS_TOLERANCE:

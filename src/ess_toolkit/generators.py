@@ -8,13 +8,12 @@ model arbitrarily large universes without changing any exact quantity.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import DiscreteDistribution
+from .distribution import DiscreteDistribution, exact_sum
 from .errors import OutOfRangeError
 
 # the spec fields each family requires; a family may give no other field of
@@ -98,10 +97,10 @@ def make_distribution(spec: GeneratorSpec) -> DiscreteDistribution:
         probs = np.full(n, 1.0 / n)
     elif spec.family == "zipf":
         weights = np.arange(1, n + 1, dtype=np.float64) ** (-spec.s)
-        probs = weights / math.fsum(memoryview(weights))
+        probs = weights / exact_sum(weights)
     elif spec.family == "geometric":
         weights = spec.rho ** np.arange(n, dtype=np.float64)
-        probs = weights / math.fsum(memoryview(weights))
+        probs = weights / exact_sum(weights)
     elif spec.family == "two_tier":
         probs = np.empty(n)
         probs[: spec.h] = spec.heavy_mass / spec.h

@@ -35,7 +35,7 @@ FORMATS = ("csv", "json")
 _TIMING_FIELDS = frozenset({"wall_time_ns"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
@@ -92,7 +92,7 @@ class ExperimentConfig:
         return _params(self.eps, self.beta, self.gamma, self.mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One estimator call and its verdict against the exact band.
 
@@ -111,7 +111,7 @@ class TrialRecord:
     wall_time_ns: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentReport:
     """Aggregated outcome of an experiment plus all per-trial records.
 

@@ -28,6 +28,7 @@ from conftest import precedes, random_simplex_distribution, traced_peak, validat
 
 A, B = 0, 1  # two-element label shorthand
 NOT_FINITE = "probabilities must be finite"
+DUPLICATE = "labels within one distribution must be unique"
 
 
 def uniform(n: int) -> DiscreteDistribution:
@@ -75,20 +76,61 @@ class TestValidate:
         "labels, probs, error, message",
         [
             # the checks run in a fixed order: label, numbers, length, empty,
-            # finite, negative, duplicate, mass; each input fails two
-            ([0, 1, 2], [math.nan, -0.5, 1.5], OutOfRangeError, NOT_FINITE),
-            ([0, 1], [-math.inf, 1.0], OutOfRangeError, NOT_FINITE),
-            ([0, 1], [math.inf, 0.5], OutOfRangeError, NOT_FINITE),
-            ([3, 3, 4], [1.2, -0.2, 0.0], NegativeProbabilityError, "negative probability -0.2"),
-            ([3, 3], [0.5, 0.6], DuplicateLabelError, "labels within one distribution must be unique"),
-            ([1.5, 2], [math.nan, 0.5], OutOfRangeError, "label 1.5 is not an integer"),
+            # finite, negative, duplicate, mass; each input fails two.  Ids
+            # are explicit, so a row added anywhere renames no other case;
+            # the first ten keep the ids they had by position, which earlier
+            # test reports name
+            pytest.param(
+                [0, 1, 2], [math.nan, -0.5, 1.5], OutOfRangeError, NOT_FINITE,
+                id="labels0-probs0-OutOfRangeError-probabilities must be finite",
+            ),
+            pytest.param(
+                [0, 1], [-math.inf, 1.0], OutOfRangeError, NOT_FINITE,
+                id="labels1-probs1-OutOfRangeError-probabilities must be finite",
+            ),
+            pytest.param(
+                [0, 1], [math.inf, 0.5], OutOfRangeError, NOT_FINITE,
+                id="labels2-probs2-OutOfRangeError-probabilities must be finite",
+            ),
+            pytest.param(
+                [3, 3, 4], [1.2, -0.2, 0.0], NegativeProbabilityError,
+                "negative probability -0.2",
+                id="labels3-probs3-NegativeProbabilityError-negative probability -0.2",
+            ),
+            pytest.param(
+                [3, 3], [0.5, 0.6], DuplicateLabelError, DUPLICATE,
+                id=f"labels4-probs4-DuplicateLabelError-{DUPLICATE}",
+            ),
+            pytest.param(
+                [1.5, 2], [math.nan, 0.5], OutOfRangeError, "label 1.5 is not an integer",
+                id="labels5-probs5-OutOfRangeError-label 1.5 is not an integer",
+            ),
             # a bool is not a label, as a bool array is not
-            ([True, False], ["0.5", "0.5"], OutOfRangeError, "label True is not an integer"),
-            ([0, 1, 2], ["0.5", "0.5"], OutOfRangeError, "probabilities must be numbers"),
+            pytest.param(
+                [True, False], ["0.5", "0.5"], OutOfRangeError,
+                "label True is not an integer",
+                id="labels6-probs6-OutOfRangeError-label True is not an integer",
+            ),
+            pytest.param(
+                [0, 1, 2], ["0.5", "0.5"], OutOfRangeError, "probabilities must be numbers",
+                id="labels7-probs7-OutOfRangeError-probabilities must be numbers",
+            ),
             # finite rows whose mass is beyond the float range: the duplicate
             # still comes first, and the mass fails with no numpy warning
-            ([3, 3], [1e308, 1e308], DuplicateLabelError, "labels within one distribution must be unique"),
-            ([3, 4], [1e308, 1e308], MassNotOneError, "probabilities sum to inf, expected 1 within 1e-09"),
+            pytest.param(
+                [3, 3], [1e308, 1e308], DuplicateLabelError, DUPLICATE,
+                id=f"labels8-probs8-DuplicateLabelError-{DUPLICATE}",
+            ),
+            pytest.param(
+                [3, 4], [1e308, 1e308], MassNotOneError,
+                "probabilities sum to inf, expected 1 within 1e-09",
+                id="labels9-probs9-MassNotOneError-probabilities sum to inf, expected 1 within 1e-09",
+            ),
+            # labels that start in increasing order take the sort as well
+            pytest.param(
+                [1, 2, 2, 5], [0.25, 0.25, 0.25, 0.5], DuplicateLabelError, DUPLICATE,
+                id="duplicate-among-increasing-labels",
+            ),
         ],
     )
     def test_first_failed_check_is_reported(self, labels, probs, error, message):
@@ -96,6 +138,20 @@ class TestValidate:
             DiscreteDistribution(labels, probs)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            pytest.param([5, 1, 9, 2], id="scattered"),
+            pytest.param([1, 2, 5, 3], id="one-drop-at-the-end"),
+            pytest.param(np.array([2**64 - 1, 2**63, 0, 7], dtype=np.uint64), id="above-2**63"),
+        ],
+    )
+    def test_unique_labels_out_of_order_accepted(self, labels):
+        # only strictly increasing labels skip the sort; others are sorted
+        # to find duplicates, and none is there
+        dist = DiscreteDistribution(labels, [0.1, 0.2, 0.3, 0.4])
+        assert dist.labels.tolist() == list(map(int, labels))
 
     @pytest.mark.parametrize(
         "probs",
@@ -425,6 +481,104 @@ class TestSetUpMemory:
         )
         assert band[2:] == (exact_ess_bruteforce(dist, 0.2), exact_ess_bruteforce(dist, 0.24))
         assert peak <= 8 * distribution._SLICE + (1 << 16)
+
+
+def fsum_outcome(sum_of, values) -> str:
+    """A sum's bits in hex, or the OverflowError it raised."""
+    try:
+        return sum_of(values).hex()
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+def assert_sums_like_fsum(values) -> None:
+    array = np.asarray(values, dtype=np.float64)
+    expected = fsum_outcome(math.fsum, array.tolist())
+    assert fsum_outcome(distribution.exact_sum, array) == expected
+
+
+class TestExactSum:
+    # exact_sum returns what math.fsum returns, bit for bit, and raises
+    # where it raises: the chunk edges, ties at half an ulp, signed
+    # remainders, and sums near the float maximum
+    @given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)))
+    @settings(deadline=None, max_examples=300)
+    def test_equals_fsum(self, values):
+        assert_sums_like_fsum(values)
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=2.0**-1000, allow_subnormal=True),
+            min_size=1,
+        )
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_equals_fsum_on_subnormals(self, values):
+        assert_sums_like_fsum(values)
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            pytest.param(2**15 - 1, id="one-short-of-a-chunk"),
+            pytest.param(2**15, id="one-chunk"),
+            pytest.param(2**15 + 1, id="one-past-a-chunk"),
+        ],
+    )
+    def test_chunk_edges(self, size):
+        rng = np.random.default_rng(size)
+        # full mantissas near the top fill the 53 bits a level's sum may
+        # use; exponents spread over 120 binades take several levels
+        assert_sums_like_fsum(rng.random(size))
+        assert_sums_like_fsum(np.ldexp(rng.random(size), rng.integers(-120, 0, size)))
+        assert_sums_like_fsum(np.full(size, 0.1))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([1.0, 2.0**-53], id="half-ulp-tie-to-even"),
+            pytest.param([1.0, 2.0**-53, 5e-324], id="half-ulp-and-the-least-subnormal"),
+        ],
+    )
+    def test_half_ulp_ties(self, values):
+        assert_sums_like_fsum(values)
+        # the tie again at the total of 2**16 values, two chunks
+        assert_sums_like_fsum(values * 2**15)
+
+    def test_all_negative_remainders(self):
+        # a chunk of light rows holds one value, so its remainders share a
+        # sign, and here the first level rounds them up: stopping on the
+        # largest remainder alone reads 1.0000001083685357
+        probs = make_distribution(parse_spec("two_tier:n=1000000,h=1,H=0.5")).probs
+        assert_sums_like_fsum(probs)
+        assert distribution.exact_sum(probs) == 1.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([1e308, 1e308], id="twice-1e308"),
+            pytest.param([np.finfo(float).max, 2.0**970], id="max-plus-half-an-ulp"),
+            pytest.param([2.0**1006] * 2**18, id="many-below-the-split-limit"),
+        ],
+    )
+    def test_overflow_raises_as_fsum_does(self, values):
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        assert_sums_like_fsum(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([np.finfo(float).max, 2.0**969], id="max-plus-a-quarter-ulp"),
+            pytest.param([2.0**1010] * 3, id="above-the-split-limit"),
+        ],
+    )
+    def test_near_the_maximum(self, values):
+        # finite sums the vector path leaves to fsum, with no numpy warning
+        assert_sums_like_fsum(values)
+
+    def test_all_zeros(self):
+        assert distribution.exact_sum(np.zeros(2**15 + 1)).hex() == "0x0.0p+0"
+        assert distribution.exact_sum(np.zeros(0)).hex() == "0x0.0p+0"
 
 
 class TestQuantileSlices:

@@ -98,6 +98,41 @@ class TestMassPrecision:
         assert abs(math.fsum(dist.probs.tolist()) - 1.0) <= 1e-12
 
 
+# n below and above one 2**15-element chunk of the exact sum; 0.5**n
+# underflows, which gives subnormal and zero weights
+IDENTITY_SPECS = [
+    text.format(n=n)
+    for n in (1000, 40_000)
+    for text in (
+        "uniform:n={n}",
+        "zipf:n={n},s=1.0",
+        "zipf:n={n},s=0.5",
+        "geometric:n={n},rho=0.999",
+        "geometric:n={n},rho=0.5",
+        "two_tier:n={n},h=10,H=0.9",
+    )
+] + ["point_mass"]
+
+
+class TestNormaliserIdentity:
+    # the exact sum gives the bits math.fsum gave, so every probability,
+    # total and report byte stays as it was
+    @pytest.mark.parametrize("text", IDENTITY_SPECS)
+    def test_probs_and_total_as_with_fsum(self, text):
+        spec = parse_spec(text)
+        dist = make_distribution(spec)
+        if spec.family == "zipf":
+            weights = np.arange(1, spec.n + 1, dtype=np.float64) ** (-spec.s)
+        elif spec.family == "geometric":
+            weights = spec.rho ** np.arange(spec.n, dtype=np.float64)
+        else:
+            weights = None
+        if weights is not None:
+            expected = weights / math.fsum(weights.tolist())
+            assert dist.probs.tobytes() == expected.tobytes()
+        assert dist.total.hex() == math.fsum(dist.probs.tolist()).hex()
+
+
 class TestZeroPadCrossModule:
     def test_padding_leaves_exact_values_unchanged(self):
         base = make_distribution(GeneratorSpec("zipf", n=200, s=1.0))
