@@ -58,14 +58,18 @@ class EstimatorParams:
     with slack ``beta_eff/2`` and ``gamma_eff = eps*beta_eff/2``, the
     output is divided by ``1 + gamma_eff`` (``output_divisor``), and the
     band verdict rounds the estimate (``in_band``).  The parameters are
-    stored as floats.  Range checks, the ``SLACK_CAP`` clamp, the
-    degenerate rule, the band levels and the band verdict all live here.
+    stored as floats: a bool or a value that is not a real number (a
+    string, a ``Decimal``) is an ``OutOfRangeError``, and a numpy float or
+    a ``Fraction`` is stored as the Python float it rounds to.  Range
+    checks, the ``SLACK_CAP`` clamp, the degenerate rule, the band levels
+    and the band verdict all live here.
 
     So do the two stages' numbers: the stage sizes ``sizes`` (the pivot
     batch r and the averaging batch t) and stage one's rank ``pivot_rank``
     (k).  Each is computed on first read and kept on the plan, so an
     experiment works them out once, not once a trial; a plan whose sizes
-    do not fit fails when they are read, not when it is made.
+    do not fit fails when they are read, not when it is made, and a
+    degenerate plan never reads them.
     """
 
     eps: float

@@ -27,7 +27,10 @@ _REQUIRED = {
 }
 FAMILIES = tuple(_REQUIRED)
 _PARAMETERS = tuple(dict.fromkeys(sum(_REQUIRED.values(), ())))  # in table order
-_INTEGERS = ("n", "h", "zero_pad")  # zero_pad applies to every family
+# the CLI keys of the spec fields; zero_pad applies to every family
+_INT_KEYS = {"n": "n", "h": "h", "pad": "zero_pad"}
+_FLOAT_KEYS = {"s": "s", "rho": "rho", "H": "heavy_mass"}
+_INTEGERS = tuple(_INT_KEYS.values())
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,9 @@ def make_distribution(spec: GeneratorSpec) -> DiscreteDistribution:
     """Materialize and validate the distribution described by ``spec``.
 
     Labels are 0..n-1 in generation order, zero-pad labels appended after,
-    which keeps tie-breaking in the canonical order deterministic.
+    which keeps tie-breaking in the canonical order deterministic.  zipf
+    and geometric weights are normalised by their
+    :func:`~ess_toolkit.distribution.exact_sum`, bit for bit ``math.fsum``.
     """
     _check_spec(spec)
     n = spec.n
@@ -110,10 +115,6 @@ def make_distribution(spec: GeneratorSpec) -> DiscreteDistribution:
     if spec.zero_pad:
         probs = np.concatenate([probs, np.zeros(spec.zero_pad)])
     return DiscreteDistribution.from_probs(probs)
-
-
-_INT_KEYS = {"n": "n", "h": "h", "pad": "zero_pad"}
-_FLOAT_KEYS = {"s": "s", "rho": "rho", "H": "heavy_mass"}
 
 
 def parse_spec(text: str) -> GeneratorSpec:

@@ -40,9 +40,16 @@ class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
     ``dist_source`` is a distribution file path or a generator string such
-    as ``zipf:n=100000,s=1.0``.  ``gamma`` is required in bicriteria mode
-    and ignored in unicriterion mode, which stores None for it.  ``eps``,
-    ``beta`` and ``gamma`` are stored as the plan's floats.
+    as ``zipf:n=100000,s=1.0``; anything else, a ``GeneratorSpec`` or a
+    distribution included, is an ``OutOfRangeError``.  ``gamma`` is
+    required in bicriteria mode and ignored in unicriterion mode, which
+    stores None for it (``null`` in a JSON report).  ``eps``, ``beta`` and
+    ``gamma`` are stored as the plan's floats, so ``1`` is written as
+    ``1.0``.  ``trials`` and ``master_seed`` must be integers (a bool is
+    not) and are stored as plain ints.  ``mode`` is read only by the plan
+    builder, and a non-degenerate plan has its stage sizes read when the
+    config is made, so an impossible plan fails before the distribution is
+    loaded.
     """
 
     dist_source: str | os.PathLike
@@ -176,7 +183,13 @@ def band_endpoints(
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run all trials of ``config`` in order and (optionally) write the report.
 
-    ``jobs`` must be 1: trials always run serially in this process.
+    An ``out_path`` that is a directory, or lies in a directory that does
+    not exist, fails before the distribution is loaded.  Set-up (loading,
+    the exact band and, only when stage one takes the draw route, the alias
+    table) is done once, before the first trial is timed.  Every trial
+    shares the one plan ``config.params`` and is judged with its
+    ``in_band``.  ``jobs`` must be 1: trials always run serially in this
+    process.
     """
     if jobs != 1:
         raise OutOfRangeError(f"jobs must be 1, got {jobs}")
@@ -245,7 +258,8 @@ def _write_report(report: ExperimentReport, path) -> None:
     A regular file, or a path that does not exist yet, gets the report in a
     temporary file beside it that is then renamed into place, keeping the
     old file's mode, so a failed write leaves any earlier file as it was and
-    no partial report behind.  Anything else (a symlink, ``/dev/null``, a
+    no partial report behind; an error in creating the temporary file names
+    the report path.  Anything else (a symlink, ``/dev/null``, a
     pipe) is opened and written through: renaming over it would replace the
     link or device itself.
     """
@@ -314,10 +328,10 @@ def emit_report(report: ExperimentReport, format: str = "json") -> bytes:
 
     CSV holds the per-trial table only: a header of the
     :class:`TrialRecord` field names less the wall-clock timings, and one
-    row per trial.  JSON holds config, summary and trials.  Floats are
-    written in Python's shortest round-trip form (``repr``), so parsing
-    reproduces them exactly; a non-finite float in a JSON report raises
-    ``ValueError``, since JSON has no infinity.
+    row per trial, booleans as ``true``/``false``.  JSON holds config,
+    summary and trials.  Floats are written in Python's shortest round-trip
+    form (``repr``), so parsing reproduces them exactly; a non-finite float
+    in a JSON report raises ``ValueError``, since JSON has no infinity.
     """
     if format == "csv":
         names = [f.name for f in fields(TrialRecord) if f.name not in _TIMING_FIELDS]

@@ -10,7 +10,11 @@ through :func:`~ess_toolkit.distribution.canonical_order`.
 
 Each draw consumes exactly one uniform double from the generator; the
 sample stream is therefore a function of (seed, number of draws) alone,
-and chunked batching cannot change what is drawn.
+and chunked batching cannot change what is drawn.  The two statistics
+below consume the same stream, so a report depends only on its config
+and master seed; stage two's values, and stage one's on the Beta route,
+have the law of explicit draws but differ from what explicit draws would
+give for that seed.
 
 On top of the draws the oracle offers the two statistics the estimator
 needs, each charged as the full batch of probability-revealing queries it
@@ -133,7 +137,12 @@ class AliasTable:
     are a prefix of the larges, since both cumulative sums ascend.  The
     table keeps 12 bytes a slot (8 of ``accept``, 4 of int32 ``alias``);
     the build holds the larges' excess sums, 16 bytes a large (24 while
-    they are formed), and sweeps the smalls a chunk at a time.
+    they are formed), and sweeps the smalls a chunk at a time: on two_tier
+    n = 1e6, where almost every slot is small, the build peaks at about 13
+    bytes a slot, table included.  The prefix sums carry their TwoSum
+    rounding errors, so each element's table mass matches ``p / total`` to
+    within about 1e-10 relative.  ``longdouble`` sums would not do: their
+    width, and so the draws, differ between platforms.
     """
 
     __slots__ = ("first", "size", "accept", "alias")
@@ -243,7 +252,14 @@ class AliasTable:
 
 def stage_one_draws(dist: DiscreteDistribution, count: int) -> bool:
     """True when stage one's ``count`` draws from ``dist`` take the draw
-    route, which draws from the alias table; False for the Beta route."""
+    route, which draws from the alias table; False for the Beta route.
+
+    The draw route is taken while ``count`` is at most
+    ``STAGE_ONE_DRAWS_PER_RUN`` draws a positive run.  A CSV of a few tied
+    probabilities, like the benchmark's 1e6-row input (2 runs, r = 22 500),
+    takes the Beta route; zipf and geometric tables of 1e5 distinct
+    probabilities at r = 90 000 or 360 000 take the draw route.
+    """
     runs = dist.run_values.size - int(dist.run_values[0] == 0.0)  # a zero run first
     return count <= STAGE_ONE_DRAWS_PER_RUN * runs
 
@@ -317,8 +333,10 @@ class DualOracle:
         Counts ``count`` SAMP and ``count`` EVAL queries on either route
         (module docstring).  On the draw route the positions are the draws
         :meth:`sample_with_prob_many` makes from the same stream position,
-        partitioned instead of sorted by (probability, label); the Beta
-        route has the same law and draws one Beta variate.
+        partitioned instead of sorted by (probability, label), and the
+        probability is read from the run index.  The Beta route has the same
+        law and draws one variate U ~ Beta(k+1, count-k), which it maps to a
+        position through ``run_cumulative``.
         """
         count = operator.index(count)
         k = operator.index(k)
@@ -352,9 +370,12 @@ class DualOracle:
         law of summing :func:`~ess_toolkit.estimator.inverse_prob_terms` over
         ``count`` draws: the number of draws landing in each run of equal
         probability at or above the pivot, and in the rest, is one
-        multinomial vector.  The runs are read from ``dist.run_bounds``;
-        no per-call array grows with the number of elements above the
-        pivot, only with the number of runs.
+        multinomial vector, and the result is the sum of hits / value over
+        the runs.  The runs are read from ``dist.run_bounds``; no per-call
+        array grows with the number of elements above the pivot, only with
+        the number of runs, so a run of ties costs one cell however many
+        elements it holds.  Where those runs outnumber ``count`` (a large
+        table with no ties and a small t) this is more work than the draws.
         """
         count = operator.index(count)
         if count < 0:

@@ -155,6 +155,14 @@ def check_band(estimate, dist, eps, beta, gamma, mode):
     return harness._params(eps, beta, gamma, mode).in_band(estimate, low, high)
 
 
+# unicriterion estimates by their verdict against the point-mass band [1, 1]:
+# [0.5, 1.5) rounds half up into it
+HALF_UP_VERDICTS = {
+    True: [0.5, math.nextafter(1.5, 0.0)],
+    False: [math.nextafter(0.5, 0.0), 1.5],
+}
+
+
 class TestCheckBand:
     def test_inside(self):
         dist = make_distribution(GeneratorSpec("uniform", n=1000))
@@ -182,12 +190,9 @@ class TestCheckBand:
         # Round half to even sends 0.5 to 0, truncation sends 0.5 to 0 and
         # 1.5 to 1, and floor(x + 0.5) sends the float below 0.5 to 1
         dist = validate({0: 1.0})
-        inside = [0.5, math.nextafter(1.5, 0.0)]
-        outside = [math.nextafter(0.5, 0.0), 1.5]
-        for estimate in inside:
-            assert check_band(estimate, dist, 0.2, 0.2, None, "unicriterion") is True
-        for estimate in outside:
-            assert check_band(estimate, dist, 0.2, 0.2, None, "unicriterion") is False
+        for verdict, estimates in HALF_UP_VERDICTS.items():
+            for estimate in estimates:
+                assert check_band(estimate, dist, 0.2, 0.2, None, "unicriterion") is verdict
         # bicriteria judges the estimate itself
         assert check_band(0.5, dist, 0.2, 0.2, 0.2, "bicriteria") is False
 
