@@ -17,7 +17,7 @@ import json
 import math
 import operator
 import warnings
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -141,8 +141,10 @@ class DiscreteDistribution:
     labels of a CSV file, are sorted to find duplicates.  Instances keep
     16 bytes an element plus the run index, and construction peaks at 17
     bytes an element above the caller's arrays (``tracemalloc``, two_tier
-    n = 1e6 with scattered labels).  Instances are immutable afterwards
-    and safe to share across threads.
+    n = 1e6 with scattered labels).  The arrays are read-only; only
+    :func:`~ess_toolkit.oracle.sampler_table` sets an attribute later, the
+    alias table, whose builds are bit-equal: a race between threads wastes
+    a build.
 
     Elements with probability 0 are kept in the table -- they model padding
     of the universe with unreachable items -- but they never influence
@@ -230,23 +232,6 @@ class DiscreteDistribution:
             self.run_cumulative,
         ):
             arr.flags.writeable = False
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "DiscreteDistribution":
-        """Build from an iterable of (label, prob) pairs."""
-        items = list(pairs)
-        if not items:
-            raise OutOfRangeError("distribution must contain at least one element")
-        labels, probs = zip(*items)
-        return cls(labels, probs)
-
-    @classmethod
-    def from_probs(cls, probs) -> "DiscreteDistribution":
-        """Build with labels 0..n-1 in the given order."""
-        prob_arr = np.asarray(probs)
-        return cls(np.arange(prob_arr.size, dtype=np.uint64), prob_arr)
 
     # -- accessors ----------------------------------------------------
 
@@ -472,7 +457,8 @@ def read_distribution(path) -> DiscreteDistribution:
             raise OutOfRangeError("distribution JSON is nested too deeply") from None
     if not isinstance(rows, list):
         raise OutOfRangeError("distribution JSON must be an array of objects")
-    return DiscreteDistribution.from_pairs(_json_pair(row, i) for i, row in enumerate(rows))
+    pairs = [_json_pair(row, i) for i, row in enumerate(rows)]
+    return DiscreteDistribution([label for label, _ in pairs], [prob for _, prob in pairs])
 
 
 def _first_bad_csv_row(path) -> str | None:

@@ -40,7 +40,8 @@ class GeneratorSpec:
     Grammar for the CLI form is ``family:key=value[,key=value...]`` with
     keys ``n`` (element count, required except for point_mass), ``s`` (zipf
     exponent), ``rho`` (geometric ratio), ``h`` and ``H`` (two_tier heavy
-    count / heavy mass) and ``pad`` (zero_pad).
+    count / heavy mass) and ``pad`` (zero_pad).  An invalid spec raises
+    ``OutOfRangeError`` when it is made.
     """
 
     family: str
@@ -50,6 +51,9 @@ class GeneratorSpec:
     h: int | None = None
     heavy_mass: float | None = None
     zero_pad: int = 0
+
+    def __post_init__(self) -> None:
+        _check_spec(self)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -96,7 +100,6 @@ def make_distribution(spec: GeneratorSpec) -> DiscreteDistribution:
     and geometric weights are normalised by their
     :func:`~ess_toolkit.distribution.exact_sum`, bit for bit ``math.fsum``.
     """
-    _check_spec(spec)
     n = spec.n
     if spec.family == "uniform":
         probs = np.full(n, 1.0 / n)
@@ -114,7 +117,7 @@ def make_distribution(spec: GeneratorSpec) -> DiscreteDistribution:
         probs = np.ones(1)
     if spec.zero_pad:
         probs = np.concatenate([probs, np.zeros(spec.zero_pad)])
-    return DiscreteDistribution.from_probs(probs)
+    return DiscreteDistribution(np.arange(probs.size, dtype=np.uint64), probs)
 
 
 def parse_spec(text: str) -> GeneratorSpec:
@@ -137,7 +140,5 @@ def parse_spec(text: str) -> GeneratorSpec:
                 raise OutOfRangeError(
                     f"bad value {value!r} for generator parameter {key!r}"
                 ) from None
-    spec = GeneratorSpec(family=family, **kwargs)
-    _check_spec(spec)
-    return spec
+    return GeneratorSpec(family=family, **kwargs)
 

@@ -15,7 +15,7 @@ import operator
 import os
 import stat
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from .distribution import (
     MAX_EPS,
     DiscreteDistribution,
@@ -41,13 +41,15 @@ class ExperimentConfig:
 
     ``dist_source`` is a distribution file path or a generator string such
     as ``zipf:n=100000,s=1.0``; anything else, a ``GeneratorSpec`` or a
-    distribution included, is an ``OutOfRangeError``.  ``gamma`` is
+    distribution included, is an ``OutOfRangeError``.  ``dist_source`` and
+    ``out_path`` are stored as ``os.fspath`` strings.  ``gamma`` is
     required in bicriteria mode and ignored in unicriterion mode, which
     stores None for it (``null`` in a JSON report).  ``eps``, ``beta`` and
     ``gamma`` are stored as the plan's floats, so ``1`` is written as
     ``1.0``.  ``trials`` and ``master_seed`` must be integers (a bool is
     not) and are stored as plain ints.  ``mode`` is read only by the plan
-    builder, and a non-degenerate plan has its stage sizes read when the
+    builder; the plan is kept as ``params`` (unicriterion ignores
+    ``gamma``), and a non-degenerate plan has its stage sizes read when the
     config is made, so an impossible plan fails before the distribution is
     loaded.
     """
@@ -61,6 +63,7 @@ class ExperimentConfig:
     master_seed: int
     out_path: str | os.PathLike | None = None
     format: str = "json"
+    params: EstimatorParams = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         # a distribution object would reach the report only as its repr
@@ -69,6 +72,9 @@ class ExperimentConfig:
                 "dist_source must be a file path or a generator string, "
                 f"got {type(self.dist_source).__name__}"
             )
+        object.__setattr__(self, "dist_source", os.fspath(self.dist_source))
+        if self.out_path is not None:
+            object.__setattr__(self, "out_path", os.fspath(self.out_path))
         if self.format not in FORMATS:
             raise OutOfRangeError(
                 f"format must be one of {FORMATS}, got {self.format!r}"
@@ -92,11 +98,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, getattr(params, name))
         if not params.is_degenerate:
             params.sizes  # stage sizes that overflow fail before loading
-
-    @property
-    def params(self) -> EstimatorParams:
-        """The estimator plan of this config (unicriterion ignores ``gamma``)."""
-        return _params(self.eps, self.beta, self.gamma, self.mode)
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +198,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     if config.out_path is not None:
         # fail before any trial runs; the writer still names the report if
         # the directory goes away during the run
-        path = os.fspath(config.out_path)
+        path = config.out_path
         if os.path.isdir(path):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         directory = os.path.dirname(os.path.abspath(path))
@@ -263,7 +265,7 @@ def _write_report(report: ExperimentReport, path) -> None:
     pipe) is opened and written through: renaming over it would replace the
     link or device itself.
     """
-    data = emit_report(report, report.config.format)
+    data = emit_report(report)
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
@@ -278,7 +280,7 @@ def _write_report(report: ExperimentReport, path) -> None:
         fh = open(tmp, "xb")
     except OSError as exc:
         # name the report, not the temporary file the caller never asked for
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             fh.write(data)
@@ -294,16 +296,9 @@ def _write_report(report: ExperimentReport, path) -> None:
 
 
 def _field_dict(record) -> dict:
-    # not dataclasses.asdict, which recurses into and deep-copies every field
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    out = _field_dict(config)
-    out["dist_source"] = os.fspath(config.dist_source)
-    if config.out_path is not None:
-        out["out_path"] = os.fspath(config.out_path)
-    return out
+    # not dataclasses.asdict, which recurses into and deep-copies every
+    # field; a field the caller does not give (the config's plan) is left out
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.init}
 
 
 def report_dict(report: ExperimentReport) -> dict:
@@ -311,7 +306,7 @@ def report_dict(report: ExperimentReport) -> dict:
     summary = _field_dict(report)
     del summary["config"], summary["trials"]
     return {
-        "config": _config_dict(report.config),
+        "config": _field_dict(report.config),
         "summary": summary,
         "trials": [_field_dict(r) for r in report.trials],
     }
@@ -323,8 +318,8 @@ def _csv_cell(value) -> str:
     return repr(value)
 
 
-def emit_report(report: ExperimentReport, format: str = "json") -> bytes:
-    """Serialize a report.
+def emit_report(report: ExperimentReport) -> bytes:
+    """Serialize a report in its config's ``format``.
 
     CSV holds the per-trial table only: a header of the
     :class:`TrialRecord` field names less the wall-clock timings, and one
@@ -333,13 +328,11 @@ def emit_report(report: ExperimentReport, format: str = "json") -> bytes:
     form (``repr``), so parsing reproduces them exactly; a non-finite float
     in a JSON report raises ``ValueError``, since JSON has no infinity.
     """
-    if format == "csv":
+    if report.config.format == "csv":
         names = [f.name for f in fields(TrialRecord) if f.name not in _TIMING_FIELDS]
         cells = operator.attrgetter(*names)
         lines = [",".join(names)]
         lines += [",".join(map(_csv_cell, cells(r))) for r in report.trials]
         return ("\n".join(lines) + "\n").encode("utf-8")
-    if format == "json":
-        text = json.dumps(report_dict(report), separators=(",", ":"), allow_nan=False)
-        return (text + "\n").encode("utf-8")
-    raise OutOfRangeError(f"format must be one of {FORMATS}, got {format!r}")
+    text = json.dumps(report_dict(report), separators=(",", ":"), allow_nan=False)
+    return (text + "\n").encode("utf-8")

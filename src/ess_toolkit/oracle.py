@@ -157,8 +157,6 @@ class AliasTable:
 
     def __init__(self, dist: DiscreteDistribution) -> None:
         size = dist.support_size
-        if size == 0:
-            raise OutOfRangeError("cannot sample: no positive-probability element")
         first = dist.size - size
         # the positive runs, each value repeated over its run, are the
         # sorted positive probabilities.  Normalize by the exact mass so the

@@ -11,7 +11,13 @@ def validate(elements) -> DiscreteDistribution:
     """Distribution from a label -> prob mapping; an instance passes through."""
     if isinstance(elements, DiscreteDistribution):
         return elements
-    return DiscreteDistribution.from_pairs(elements.items())
+    return DiscreteDistribution(list(elements), list(elements.values()))
+
+
+def indexed(probs) -> DiscreteDistribution:
+    """Distribution with labels 0..n-1 in the order of ``probs``."""
+    probs = np.asarray(probs)
+    return DiscreteDistribution(np.arange(probs.size, dtype=np.uint64), probs)
 
 
 def precedes(dist: DiscreteDistribution, a, b) -> bool:
@@ -24,7 +30,7 @@ def random_simplex_distribution(rng: np.random.Generator, max_n: int = 50) -> Di
     """Random distribution with n <= max_n and probabilities drawn uniformly
     from the simplex (Dirichlet with all-ones concentration)."""
     n = int(rng.integers(1, max_n + 1))
-    return DiscreteDistribution.from_probs(rng.dirichlet(np.ones(n)))
+    return indexed(rng.dirichlet(np.ones(n)))
 
 
 def label_pivot(dist: DiscreteDistribution, pivot: tuple[int, float]) -> tuple[int, float]:

@@ -213,6 +213,7 @@ def test_reports_are_deterministic_and_execution_order_free():
             mode="bicriteria",
             trials=24,
             master_seed=42424242,
+            format="csv",
         )
         first = run_experiment(config)
         second = run_experiment(config)
@@ -221,7 +222,7 @@ def test_reports_are_deterministic_and_execution_order_free():
             return [dataclasses.replace(t, wall_time_ns=0) for t in report.trials]
 
         assert records(first) == records(second)
-        assert emit_report(first, "csv") == emit_report(second, "csv")
+        assert emit_report(first) == emit_report(second)
 
         def timeless(report):
             data = report_dict(report)

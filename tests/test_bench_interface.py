@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import shutil
 import subprocess
 import sys
 import types
@@ -108,15 +109,15 @@ def test_run_parser_accepts_jobs_one(tmp_path):
     "source, draws_per_trial",
     [
         # r = 22 500 draws over 5000 runs stay on the draw route, and over
-        # 1000 runs take the counts route, which makes no draw
+        # 1000 runs take the Beta route, which makes no draw
         pytest.param("geometric:n=5000,rho=0.999", 1, id="draw-route"),
-        pytest.param("geometric:n=1000,rho=0.99", 0, id="counts-route"),
+        pytest.param("geometric:n=1000,rho=0.99", 0, id="beta-route"),
     ],
 )
 def test_stage_one_draws_are_traced(source, draws_per_trial):
     # on the draw route stage one draws through AliasTable.draw, so the
     # benchmark's ``oracle.draw`` span counts its r draws in every trial;
-    # on the counts route it counts none, and the queries are charged alike
+    # on the Beta route it counts none, and the queries are charged alike
     spans = load_spans()
     config = harness.ExperimentConfig(
         source, 0.2, 0.2, 0.2, "bicriteria", trials=3, master_seed=7
@@ -135,6 +136,24 @@ def test_stage_one_draws_are_traced(source, draws_per_trial):
         assert (trial.samp_queries, trial.eval_queries) == (r_size + t_size,) * 2
 
 
+@pytest.fixture(scope="module")
+def bench_copy(tmp_path_factory):
+    """``bench/*.py`` beside a copy of the package source, outside the
+    checkout: a run makes its workdir and span file under its own
+    ``bench/out``.  The package is copied, not linked, because ``run.py``
+    checks the resolved path it imports the package from."""
+    root = tmp_path_factory.mktemp("checkout")
+    (root / "bench").mkdir()
+    for path in BENCH.glob("*.py"):
+        shutil.copy(path, root / "bench")
+    shutil.copytree(
+        BENCH.parent / "src" / "ess_toolkit",
+        root / "src" / "ess_toolkit",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return root / "bench"
+
+
 @pytest.mark.parametrize(
     "workload, trace",
     [
@@ -143,13 +162,13 @@ def test_stage_one_draws_are_traced(source, draws_per_trial):
         for w in WORKLOADS
     ],
 )
-def test_benchmark_tiny_run_is_correct(workload, trace):
+def test_benchmark_tiny_run_is_correct(bench_copy, workload, trace):
     # the benchmark's own output check on each workload at self-test sizes,
     # untraced and traced: a package change that fails it, or that leaves a
     # traced name unwrapped or a span's argument unread, fails here first
     done = subprocess.run(
         [
-            sys.executable, str(BENCH / "run.py"), "--workload", workload,
+            sys.executable, str(bench_copy / "run.py"), "--workload", workload,
             "--seed", "3", "--seconds", "0", "--trace", str(trace), "--tiny",
         ],
         capture_output=True,

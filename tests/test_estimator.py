@@ -30,6 +30,7 @@ from ess_toolkit.oracle import stage_one_draws
 
 from conftest import (
     chi_square_pvalue,
+    indexed,
     inverse_prob_term_moments,
     label_pivot,
     order_statistic_cdf,
@@ -274,7 +275,7 @@ def planned_rank(eps: str, beta, r_size: int) -> int:
 def three_run_distribution() -> DiscreteDistribution:
     """7 zeros, then runs of 100, 50 and 10 elements holding 0.2, 0.2 and
     0.6 of the mass: every r of ``RANK_GRID`` takes the Beta route."""
-    return DiscreteDistribution.from_probs(
+    return indexed(
         np.repeat([0.0, 0.002, 0.004, 0.06], [7, 100, 50, 10])
     )
 
@@ -308,7 +309,7 @@ class TestPlannedRank:
     # the k select_pivot passes, seen through the Beta route: the Beta
     # arguments follow from k alone, and a fixed variate from the mass
     @pytest.mark.parametrize("eps, beta", RANK_GRID)
-    def test_counts_route_takes_the_planned_rank(self, eps, beta):
+    def test_beta_route_takes_the_planned_rank(self, eps, beta):
         dist = three_run_distribution()
         params = EstimatorParams(float(eps), float(beta), 0.2)
         r_size, _ = sample_sizes(params)

@@ -50,35 +50,36 @@ class TestMakeDistribution:
     @pytest.mark.parametrize(
         "spec",
         [
-            GeneratorSpec("uniform", n=0),
-            GeneratorSpec("zipf", n=10, s=-1.0),
-            GeneratorSpec("zipf", n=10),  # missing exponent
-            GeneratorSpec("geometric", n=10, rho=1.0),
-            GeneratorSpec("two_tier", n=10, h=10, heavy_mass=0.5),
-            GeneratorSpec("two_tier", n=10, h=2, heavy_mass=1.5),
-            GeneratorSpec("point_mass", n=3),
-            GeneratorSpec("uniform", n=5, s=1.0),  # parameter from another family
-            GeneratorSpec("mystery", n=5),
-            GeneratorSpec("uniform", n=5, zero_pad=-1),
-            GeneratorSpec("zipf", s=1.0),  # missing n
+            dict(family="uniform", n=0),
+            dict(family="zipf", n=10, s=-1.0),
+            dict(family="zipf", n=10),  # missing exponent
+            dict(family="geometric", n=10, rho=1.0),
+            dict(family="two_tier", n=10, h=10, heavy_mass=0.5),
+            dict(family="two_tier", n=10, h=2, heavy_mass=1.5),
+            dict(family="point_mass", n=3),
+            dict(family="uniform", n=5, s=1.0),  # parameter from another family
+            dict(family="mystery", n=5),
+            dict(family="uniform", n=5, zero_pad=-1),
+            dict(family="zipf", s=1.0),  # missing n
         ],
     )
     def test_invalid_specs_rejected(self, spec):
+        # a spec checks itself when it is made
         with pytest.raises(OutOfRangeError):
-            make_distribution(spec)
+            GeneratorSpec(**spec)
 
     @pytest.mark.parametrize(
         "spec, name",
         [
-            (GeneratorSpec("uniform", n=2.5), "n"),
-            (GeneratorSpec("uniform", n=3, zero_pad=1.5), "zero_pad"),
-            (GeneratorSpec("two_tier", n=10, h=2.5, heavy_mass=0.5), "h"),
-            (GeneratorSpec("point_mass", n=True), "n"),
+            (dict(family="uniform", n=2.5), "n"),
+            (dict(family="uniform", n=3, zero_pad=1.5), "zero_pad"),
+            (dict(family="two_tier", n=10, h=2.5, heavy_mass=0.5), "h"),
+            (dict(family="point_mass", n=True), "n"),
         ],
     )
     def test_integer_fields_must_be_integers(self, spec, name):
         with pytest.raises(OutOfRangeError, match=f"{name} must be an integer"):
-            make_distribution(spec)
+            GeneratorSpec(**spec)
 
 
 class TestMassPrecision:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ess_toolkit import estimator, harness
+from ess_toolkit import estimator, generators, harness
 from ess_toolkit import (
     ExperimentConfig,
     GeneratorSpec,
@@ -89,7 +89,7 @@ class TestConfigValidation:
         config = small_config(eps=eps, trials=3)
         assert type(config.eps) is float and config.eps == 0.25
         report = run_experiment(config)
-        data = json.loads(emit_report(report, "json"))
+        data = json.loads(emit_report(report))
         assert data["config"]["eps"] == 0.25
         assert strip_timing(report) == strip_timing(run_experiment(small_config(eps=0.25, trials=3)))
 
@@ -109,6 +109,14 @@ class TestConfigValidation:
         assert small_config().params == EstimatorParams(0.2, 0.2, 0.2)
         uni = small_config(mode="unicriterion", gamma=0.3)
         assert uni.params == EstimatorParams(0.2, 0.2)
+
+    def test_paths_stored_as_strings_and_plan_kept(self, tmp_path):
+        source, out = tmp_path / "d.csv", tmp_path / "r.json"
+        config = small_config(dist_source=source, out_path=out)
+        assert (config.dist_source, config.out_path) == (str(source), str(out))
+        assert config == small_config(dist_source=str(source), out_path=str(out))
+        # the plan is kept, not built again on each read
+        assert config.params is config.params
 
     def test_dist_source_must_reproduce_the_run(self):
         # a distribution object cannot be written back as a source, and a
@@ -141,6 +149,18 @@ class TestLoadDistribution:
         write_distribution(make_distribution(GeneratorSpec("uniform", n=5)), path)
         assert load_distribution(str(path)).size == 5
         assert load_distribution(path).size == 5
+
+    def test_generator_spec_checked_once(self, monkeypatch):
+        calls = []
+        check = generators._check_spec
+
+        def spied_check(spec):
+            calls.append(spec.family)
+            check(spec)
+
+        monkeypatch.setattr(generators, "_check_spec", spied_check)
+        assert load_distribution("zipf:n=10,s=1.0").size == 10
+        assert calls == ["zipf"]
 
     @pytest.mark.parametrize("source", [" uniform:n=3", "uniform :n=3", " uniform: n = 3"])
     def test_spaces_around_the_family_read_as_a_generator(self, source):
@@ -236,8 +256,9 @@ class TestRunExperiment:
         assert report.total_samp_queries == 5 * (r_size + t_size)
 
     def test_more_trials_form_no_more_sizes(self, monkeypatch):
-        # the config checks the sizes of its plan, and the trials share one
-        # plan, so more trials form no more sizes
+        # the config reads the sizes of the plan it keeps, and the trials
+        # share that plan: an experiment forms (r, t) once, however many
+        # trials it runs
         calls = []
         size = estimator._ceil_sample_size
 
@@ -251,7 +272,7 @@ class TestRunExperiment:
             calls.clear()
             run_experiment(small_config(trials=trials))
             counts.append(list(calls))
-        assert counts[0] == counts[1] == ["r", "t"] * 2
+        assert counts[0] == counts[1] == ["r", "t"]
 
     def test_records_are_ordered_and_seeded(self):
         report = run_experiment(small_config(trials=8))
@@ -401,8 +422,8 @@ class TestAliasTableBuild:
 
 class TestEmitReport:
     def test_csv_single_trial_two_lines(self):
-        report = run_experiment(small_config(trials=1))
-        text = emit_report(report, "csv").decode("utf-8")
+        report = run_experiment(small_config(trials=1, format="csv"))
+        text = emit_report(report).decode("utf-8")
         lines = text.splitlines()
         assert len(lines) == 2
         assert lines[0] == (
@@ -412,7 +433,7 @@ class TestEmitReport:
 
     def test_json_round_trip_exact(self):
         report = run_experiment(small_config(trials=4))
-        parsed = json.loads(emit_report(report, "json"))
+        parsed = json.loads(emit_report(report))
         for got, trial in zip(parsed["trials"], report.trials):
             assert got["estimate"] == trial.estimate
             assert got["raw_mean"] == trial.raw_mean
@@ -424,8 +445,8 @@ class TestEmitReport:
         assert parsed["config"]["dist_source"] == "zipf:n=1000,s=1.0"
 
     def test_csv_bytes_identical_across_runs(self):
-        first = emit_report(run_experiment(small_config()), "csv")
-        second = emit_report(run_experiment(small_config()), "csv")
+        first = emit_report(run_experiment(small_config(format="csv")))
+        second = emit_report(run_experiment(small_config(format="csv")))
         assert first == second
 
     def test_json_identical_modulo_timing(self):
@@ -437,9 +458,11 @@ class TestEmitReport:
         assert dicts[0] == dicts[1]
 
     def test_csv_header_is_json_trial_keys_less_timing(self):
-        report = run_experiment(small_config(trials=2))
-        header = emit_report(report, "csv").decode("utf-8").splitlines()[0]
-        keys = list(json.loads(emit_report(report, "json"))["trials"][0])
+        report = run_experiment(small_config(trials=2, format="csv"))
+        header = emit_report(report).decode("utf-8").splitlines()[0]
+        as_json = dataclasses.replace(report.config, format="json")
+        data = json.loads(emit_report(dataclasses.replace(report, config=as_json)))
+        keys = list(data["trials"][0])
         assert header.split(",") == [k for k in keys if k not in harness._TIMING_FIELDS]
         assert "wall_time_ns" in harness._TIMING_FIELDS
         assert keys[0] == "trial"
@@ -450,12 +473,7 @@ class TestEmitReport:
         first = dataclasses.replace(report.trials[0], estimate=bad)
         broken = dataclasses.replace(report, trials=(first,) + report.trials[1:])
         with pytest.raises(ValueError):
-            emit_report(broken, "json")
-
-    def test_unknown_format_rejected(self):
-        report = run_experiment(small_config(trials=1))
-        with pytest.raises(OutOfRangeError):
-            emit_report(report, "yaml")
+            emit_report(broken)
 
     def test_empty_trials_rejected_before_emit(self):
         with pytest.raises(OutOfRangeError):

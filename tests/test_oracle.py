@@ -14,6 +14,7 @@ from ess_toolkit.oracle import AliasTable, sampler_table, stage_one_draws
 
 from conftest import (
     chi_square_pvalue,
+    indexed,
     inverse_prob_term_moments,
     label_pivot,
     order_statistic_cdf,
@@ -260,7 +261,7 @@ class TestAliasTable:
         # small's deficit starts exactly where the first large's excess
         # ends, so it still belongs to that large, which is then depleted
         # into the second one
-        dist = DiscreteDistribution.from_probs([0.375, 0.125, 0.375, 0.125])
+        dist = indexed([0.375, 0.125, 0.375, 0.125])
         table = AliasTable(dist)
         assert table_mass(table).tolist() == [0.5, 0.5, 1.5, 1.5]
 
@@ -270,7 +271,7 @@ class TestAliasTable:
         dists = [
             # three larges, each depleted across many chunks of smalls
             make_distribution(parse_spec("two_tier:n=100000,h=3,H=0.9,pad=50")),
-            DiscreteDistribution.from_probs([0.375, 0.125, 0.375, 0.125]),
+            indexed([0.375, 0.125, 0.375, 0.125]),
             make_distribution(parse_spec("uniform:n=8,pad=100")),
         ] + [random_simplex_distribution(rng, max_n=2000) for _ in range(50)]
         tables = [AliasTable(dist) for dist in dists]
@@ -401,7 +402,7 @@ class TestOrderStatistic:
         pivot = DualOracle(dist, seed=4).order_statistic(16, 10)
         assert label_pivot(dist, pivot) == expected
 
-    def test_counts_route_holds_no_array_of_the_draws(self):
+    def test_beta_route_holds_no_array_of_the_draws(self):
         # 10**15 draws would not fit in memory: the Beta route makes none
         dist = make_distribution(parse_spec("two_tier:n=1000,h=10,H=0.5,pad=5"))
         oracle = DualOracle(dist, seed=22)

@@ -1,19 +1,22 @@
 """Power of the Tier-1 checks against planted faults.
 
-Each case patches one rule of :class:`EstimatorParams` or one of the
-oracle's statistics and shows that an existing check, at its own seeds and
-thresholds, rejects the result.  Each also says whether the acceptance
-suite's rate gate (a success rate of at least 0.60 on each of its 12
-configurations) would catch the fault alone.
+Each case patches one rule of :class:`EstimatorParams`, one of the
+oracle's statistics or the exact mass sum, and shows that an existing
+check, at its own seeds and thresholds, rejects the result.  Each estimator
+case also says whether the acceptance suite's rate gate (a success rate of
+at least 0.60 on each of its 12 configurations) would catch the fault
+alone.
 """
 
+import inspect
 import math
 
 import pytest
 
-from ess_toolkit import DualOracle, EstimatorParams
+from ess_toolkit import DualOracle, EstimatorParams, distribution
 from ess_toolkit.estimator import BAND_RELATIVE_TOLERANCE, _strict_rank_index
 
+import test_distribution
 from conftest import validate
 from test_estimator import (
     RANK_GRID,
@@ -109,3 +112,16 @@ def test_unicriterion_rounding_other_than_half_up_is_rejected(monkeypatch, round
         if check_band(estimate, dist, 0.2, 0.2, None, "unicriterion") is not verdict
     ]
     assert wrong != []
+
+
+def test_exact_sum_stopping_on_the_largest_remainder_is_rejected(monkeypatch):
+    # a copy of exact_sum whose loop ends when the largest remainder is 0,
+    # though others are negative.  TestExactSum's property rejects it
+    source = inspect.getsource(distribution.exact_sum)
+    faulty = source.replace("top = max(chunk.max(), -chunk.min())", "top = chunk.max()")
+    assert faulty != source
+    namespace = dict(vars(distribution))
+    exec(faulty, namespace)
+    monkeypatch.setattr(distribution, "exact_sum", namespace["exact_sum"])
+    with pytest.raises(AssertionError):
+        test_distribution.TestExactSum.test_equals_fsum()
