@@ -124,7 +124,11 @@ class DiscreteDistribution:
     ``run_bounds[g + 1]`` (the last bound is ``size``), all of probability
     ``run_values[g]``, and ``run_cumulative[g]`` is the prefix sum of the
     sorted probabilities (``np.cumsum``, element by element) at the run's
-    last position.  Which label sits where inside a run changes no count;
+    last position.  Zero-probability elements sort first, so they form run
+    0 when there are any: ``first_positive_run`` (0 or 1), set here once, is
+    the index of the first run of positive probability, and the support
+    size, the alias table and both stages read it.  Which label sits where
+    inside a run changes no count;
     :func:`canonical_order` builds the full permutation on demand.
     ``total`` is the exactly rounded sum of the probabilities, the mass
     samplers normalize by: :func:`exact_sum`, bit for bit ``math.fsum``,
@@ -157,6 +161,7 @@ class DiscreteDistribution:
         "run_bounds",
         "run_values",
         "run_cumulative",
+        "first_positive_run",
         "total",
         "_alias_table",
     )
@@ -192,6 +197,8 @@ class DiscreteDistribution:
         run_bounds = np.concatenate(([0], changes + 1, [scratch.size]))
         del changes
         self.run_values = scratch[run_bounds[:-1]]
+        # the sorted probabilities are nonnegative, so zeros come first
+        self.first_positive_run = int(scratch[0] == 0.0)
         # finite rows can sum past the float range: the mass check below
         # reports that, after the duplicate-label check
         with np.errstate(over="ignore"):
@@ -243,9 +250,7 @@ class DiscreteDistribution:
     @property
     def support_size(self) -> int:
         """Number of elements with positive probability."""
-        # zero-probability elements, if any, form the first run
-        zeros = int(self.run_bounds[1]) if self.run_values[0] == 0.0 else 0
-        return self.size - zeros
+        return self.size - self.run_bounds.item(self.first_positive_run)
 
     def prob_of(self, label) -> float:
         """Exact stored probability of ``label``, found by a scan of the labels.

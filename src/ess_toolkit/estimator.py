@@ -64,12 +64,14 @@ class EstimatorParams:
     checks, the ``SLACK_CAP`` clamp, the degenerate rule, the band levels
     and the band verdict all live here.
 
-    So do the two stages' numbers: the stage sizes ``sizes`` (the pivot
-    batch r and the averaging batch t) and stage one's rank ``pivot_rank``
-    (k).  Each is computed on first read and kept on the plan, so an
-    experiment works them out once, not once a trial; a plan whose sizes
-    do not fit fails when they are read, not when it is made, and a
-    degenerate plan never reads them.
+    So do the values every trial reads: the capped and stage slacks
+    ``beta_eff``, ``stage_beta`` and ``gamma_eff``, ``is_degenerate``,
+    ``output_divisor``, the stage sizes ``sizes`` (the pivot batch r and
+    the averaging batch t) and stage one's rank ``pivot_rank`` (k).  Each
+    is computed on first read and kept on the plan, so an experiment works
+    them out once, not once a trial; a plan whose sizes do not fit fails
+    when they are read, not when it is made, and a degenerate plan never
+    reads them.
     """
 
     eps: float
@@ -95,23 +97,23 @@ class EstimatorParams:
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise OutOfRangeError(f"gamma must lie in (0, inf), got {self.gamma!r}")
 
-    @property
+    @cached_property
     def beta_eff(self) -> float:
         return min(self.beta, SLACK_CAP)
 
-    @property
+    @cached_property
     def stage_beta(self) -> float:
         """Distance slack both stages run with."""
         return self.beta_eff if self.gamma is not None else self.beta_eff / 2.0
 
-    @property
+    @cached_property
     def gamma_eff(self) -> float:
         """Multiplicative slack stage two runs with."""
         if self.gamma is None:
             return self.eps * self.stage_beta
         return min(self.gamma, SLACK_CAP)
 
-    @property
+    @cached_property
     def is_degenerate(self) -> bool:
         """True when even a single point mass is within the tolerated distance."""
         return (1.0 + self.beta_eff) * self.eps >= 1.0
@@ -127,7 +129,7 @@ class EstimatorParams:
             return (1.0 + self.beta_eff) * self.eps, 1.0
         return (1.0 + self.beta) * self.eps, 1.0 + self.gamma
 
-    @property
+    @cached_property
     def output_divisor(self) -> float:
         """What the calibrated stage-two mean is divided by: ``1 + gamma_eff``
         for unicriterion, which moves the bicriteria band's upper end down

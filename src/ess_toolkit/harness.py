@@ -42,7 +42,9 @@ class ExperimentConfig:
     ``dist_source`` is a distribution file path or a generator string such
     as ``zipf:n=100000,s=1.0``; anything else, a ``GeneratorSpec`` or a
     distribution included, is an ``OutOfRangeError``.  ``dist_source`` and
-    ``out_path`` are stored as ``os.fspath`` strings.  ``gamma`` is
+    ``out_path`` are stored as ``str``: an ``os.PathLike`` is read with
+    ``os.fspath``, and a path that is not a ``str`` (bytes, an int) is an
+    ``OutOfRangeError`` before anything is loaded.  ``gamma`` is
     required in bicriteria mode and ignored in unicriterion mode, which
     stores None for it (``null`` in a JSON report).  ``eps``, ``beta`` and
     ``gamma`` are stored as the plan's floats, so ``1`` is written as
@@ -66,15 +68,19 @@ class ExperimentConfig:
     params: EstimatorParams = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        # a distribution object would reach the report only as its repr
-        if not isinstance(self.dist_source, (str, os.PathLike)):
-            raise OutOfRangeError(
-                "dist_source must be a file path or a generator string, "
-                f"got {type(self.dist_source).__name__}"
-            )
-        object.__setattr__(self, "dist_source", os.fspath(self.dist_source))
-        if self.out_path is not None:
-            object.__setattr__(self, "out_path", os.fspath(self.out_path))
+        # a distribution object would reach the report only as its repr, and
+        # a bytes path could not be written into a JSON one
+        for name in ("dist_source", "out_path"):
+            value = getattr(self, name)
+            if value is None and name == "out_path":
+                continue
+            path = os.fspath(value) if isinstance(value, os.PathLike) else value
+            if not isinstance(path, str):
+                raise OutOfRangeError(
+                    f"{name} must be a str or an os.PathLike of one, "
+                    f"got {type(path).__name__}"
+                )
+            object.__setattr__(self, name, path)
         if self.format not in FORMATS:
             raise OutOfRangeError(
                 f"format must be one of {FORMATS}, got {self.format!r}"

@@ -61,10 +61,12 @@ _INT32_MAX = np.iinfo(np.int32).max
 # positive run, and the Beta route above.  The Beta route is exact and
 # faster on every input; the threshold only keeps each input on the route
 # it took before.  A faster stage one fits more calls into a benchmark run,
-# and bench/run.py keeps every call's report and rows (about 55 KiB a
-# call), so on bi-pivot-sweep the Beta route raised peak_rss_mb by 15-19 %
-# against a 10 % bound.  ROADMAP item 2 deletes the threshold and the draw
-# route once the benchmark stops keeping them.
+# and bench/run.py keeps every call's report and parsed rows (about 53 KiB
+# a call on bi-pivot-sweep), so the Beta route on every input raised
+# peak_rss_mb there by 137-159 % (52-53 to 124-138 MiB, 1415-1687 calls
+# in 30 s against 104-129) and on uni-zipf-draws by 11-13 % (52-53 to
+# 58-60 MiB), against a 10 % bound.  ROADMAP item 2 deletes the threshold
+# and the draw route once the benchmark stops keeping them.
 STAGE_ONE_DRAWS_PER_RUN = 8
 
 
@@ -163,7 +165,7 @@ class AliasTable:
         # table encodes a true distribution even when the stored mass is off
         # by the validator tolerance; scaling by a positive factor keeps the
         # weights sorted
-        run = dist.run_of(first)
+        run = dist.first_positive_run
         accept = np.repeat(dist.run_values[run:], np.diff(dist.run_bounds[run:]))
         accept *= size / dist.total
         # positions are below dist.size: 4 bytes a slot when they fit
@@ -258,7 +260,7 @@ def stage_one_draws(dist: DiscreteDistribution, count: int) -> bool:
     takes the Beta route; zipf and geometric tables of 1e5 distinct
     probabilities at r = 90 000 or 360 000 take the draw route.
     """
-    runs = dist.run_values.size - int(dist.run_values[0] == 0.0)  # a zero run first
+    runs = dist.run_values.size - dist.first_positive_run
     return count <= STAGE_ONE_DRAWS_PER_RUN * runs
 
 
@@ -348,16 +350,18 @@ class DualOracle:
             run = dist.run_of(position)
         else:
             # x lands in the first run whose cumulative mass passes it, never
-            # a zero run; U = 1 is clipped to the last position
+            # a zero run; U = 1 is clipped to the last position.  The map
+            # works in Python floats, which round as numpy's do
             cumulative = dist.run_cumulative
-            x = self._rng.beta(k + 1, count - k) * cumulative[-1]
+            x = self._rng.beta(k + 1, count - k) * cumulative.item(-1)
             run = min(int(cumulative.searchsorted(x, side="right")), cumulative.size - 1)
-            lo, hi = int(dist.run_bounds[run]), int(dist.run_bounds[run + 1])
-            x -= cumulative[run - 1] if run else 0.0
-            position = lo + min(int(x / dist.run_values[run]), hi - lo - 1)
+            lo, hi = dist.run_bounds.item(run), dist.run_bounds.item(run + 1)
+            if run:
+                x -= cumulative.item(run - 1)
+            position = lo + min(int(x / dist.run_values.item(run)), hi - lo - 1)
         self.samp_count += count
         self.eval_count += count
-        return position, float(dist.run_values[run])
+        return position, dist.run_values.item(run)
 
     def inverse_prob_sum(self, count: int, pivot: tuple[int, float]) -> float:
         """Sum of 1/prob over ``count`` probability-revealing draws at or
@@ -369,33 +373,40 @@ class DualOracle:
         ``count`` draws: the number of draws landing in each run of equal
         probability at or above the pivot, and in the rest, is one
         multinomial vector, and the result is the sum of hits / value over
-        the runs.  The runs are read from ``dist.run_bounds``; no per-call
-        array grows with the number of elements above the pivot, only with
-        the number of runs, so a run of ties costs one cell however many
-        elements it holds.  Where those runs outnumber ``count`` (a large
-        table with no ties and a small t) this is more work than the draws.
+        the runs.  The runs are read from ``dist.run_bounds``, so a run of
+        ties costs one cell however many elements it holds.  A call
+        allocates three arrays of 8 bytes a run at or above the pivot: the
+        run sizes, the cell vector, whose slots then take the hits / value
+        terms, and the multinomial's hits (24 bytes a run at the peak,
+        ``tracemalloc``, zipf n = 1e5).  Where those runs outnumber ``count``
+        (a large table with no ties and a small t) this is more work than
+        the draws.
         """
         count = operator.index(count)
         if count < 0:
             raise OutOfRangeError("sample count must be nonnegative")
         dist = self.dist
-        # zero-probability elements sort first and are never drawn, and a
-        # pivot past every element leaves no run
-        start = max(operator.index(pivot[0]), dist.size - dist.support_size)
-        start = min(start, dist.size)
-        # the run holding position ``start`` is counted from there, each
-        # later run in full
         bounds = dist.run_bounds
-        first = dist.run_of(start)
+        # zero-probability elements are never drawn, and a pivot past every
+        # element (the last bound) leaves no run
+        start = max(operator.index(pivot[0]), bounds.item(dist.first_positive_run))
+        start = min(start, bounds.item(-1))
+        first = int(bounds.searchsorted(start, side="right")) - 1
         values = dist.run_values[first:]
-        run_sizes = np.diff(np.maximum(bounds[first:], start))
-        cells = run_sizes * values / dist.total
+        # each run's size, the pivot's own run (if any) counted from the pivot
+        sizes = bounds[first + 1 :] - bounds[first:-1]
+        if sizes.size:
+            sizes[0] = bounds.item(first + 1) - start
         # numpy draws every cell but the last as a binomial of the mass still
         # unassigned and gives the last one the remaining draws; putting the
         # rest (possibly 0) first leaves a run of positive mass last, so float
         # drift cannot push a binomial probability above 1
-        rest = max(0.0, 1.0 - float(cells.sum()))
-        hits = self._rng.multinomial(count, np.concatenate(([rest], cells)))[1:]
+        cells = np.empty(values.size + 1)
+        masses = cells[1:]
+        np.multiply(sizes, values, out=masses)
+        masses /= dist.total
+        cells[0] = max(0.0, 1.0 - float(masses.sum()))
+        hits = self._rng.multinomial(count, cells)
         self.samp_count += count
         self.eval_count += count
-        return float((hits / values).sum())
+        return float(np.divide(hits[1:], values, out=masses).sum())

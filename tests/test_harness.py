@@ -126,6 +126,13 @@ class TestConfigValidation:
             with pytest.raises(OutOfRangeError, match="dist_source"):
                 small_config(dist_source=source)
 
+    @pytest.mark.parametrize("out_path", [b"/tmp/r.json", 123])
+    def test_out_path_must_be_a_str(self, out_path):
+        # a bytes path would fail only when the report is written, after
+        # every trial; both fail when the config is made, before loading
+        with pytest.raises(OutOfRangeError, match="out_path must be a str"):
+            small_config(out_path=out_path)
+
     def test_master_seed_range(self):
         # derive_seed reduces modulo 2**64, so -1 and 2**64-1 would alias
         small_config(master_seed=0)

@@ -10,10 +10,11 @@ alone.
 
 import inspect
 import math
+import textwrap
 
 import pytest
 
-from ess_toolkit import DualOracle, EstimatorParams, distribution
+from ess_toolkit import DualOracle, EstimatorParams, distribution, oracle
 from ess_toolkit.estimator import BAND_RELATIVE_TOLERANCE, _strict_rank_index
 
 import test_distribution
@@ -81,6 +82,23 @@ def test_stage_two_skipping_the_pivot_run_is_rejected(monkeypatch):
         return inverse_prob_sum(self, count, (after, pivot[1]))
 
     monkeypatch.setattr(DualOracle, "inverse_prob_sum", skips_pivot_run)
+    (spec, params, trials), = [f for f in STANDARDISED_FIXTURES if f[0].startswith("two_tier")]
+    z = standardised_estimates(spec, params, trials)
+    mean_holds, _ = standardised_moments_hold(z)
+    assert not mean_holds, z.mean()
+
+
+def test_stage_two_counting_the_pivot_run_in_full_is_rejected(monkeypatch):
+    # a copy of inverse_prob_sum whose cell vector counts the pivot's own run
+    # from its first position, not from the pivot.  The rate gate catches it
+    # too: the two_tier_1e4 eps = 0.2 and unicriterion configurations, and
+    # all three uniform_1e4 ones, succeed in no trial
+    source = textwrap.dedent(inspect.getsource(DualOracle.inverse_prob_sum))
+    faulty = source.replace("sizes[0] = bounds.item(first + 1) - start", "pass")
+    assert faulty != source
+    namespace = dict(vars(oracle))
+    exec(faulty, namespace)
+    monkeypatch.setattr(DualOracle, "inverse_prob_sum", namespace["inverse_prob_sum"])
     (spec, params, trials), = [f for f in STANDARDISED_FIXTURES if f[0].startswith("two_tier")]
     z = standardised_estimates(spec, params, trials)
     mean_holds, _ = standardised_moments_hold(z)
