@@ -22,11 +22,14 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (
+    UINT64_MAX,
     DuplicateLabelError,
     MassNotOneError,
     NegativeProbabilityError,
     OutOfRangeError,
     UnknownLabelError,
+    integer,
+    real,
 )
 
 MASS_TOLERANCE = 1e-9
@@ -35,8 +38,6 @@ MASS_TOLERANCE = 1e-9
 # against the cumulative mass sits inside the mass-sum tolerance itself,
 # where float noise could flip it.
 MAX_EPS = 1.0 - MASS_TOLERANCE
-
-_UINT64_MAX = 2**64 - 1
 
 _SLICE = 1 << 16
 
@@ -104,13 +105,7 @@ def _as_label_array(values) -> np.ndarray:
     seq = list(values)
     out = np.empty(len(seq), dtype=np.uint64)
     for i, value in enumerate(seq):
-        # a bool is an int to Python, but not a label
-        if isinstance(value, bool) or not hasattr(value, "__index__"):
-            raise OutOfRangeError(f"label {value!r} is not an integer")
-        label = operator.index(value)
-        if not 0 <= label <= _UINT64_MAX:
-            raise OutOfRangeError(f"label {label} does not fit in 64 bits")
-        out[i] = label
+        out[i] = integer("label", value, 0, UINT64_MAX)
     return out
 
 
@@ -135,17 +130,17 @@ class DiscreteDistribution:
     in extraction passes over 32 Ki-element chunks that hold 512 KiB
     however long the input.
 
-    Labels are unsigned integers and probabilities real numbers: a bool
-    label, or probabilities of kind bool, complex, string or bytes
-    (``["0.5"]``, ``[True]``), are an ``OutOfRangeError``.  Finite rows
-    whose mass passes the float range (two rows of ``1e308``) are a
-    ``MassNotOneError`` ("sum to inf"); a duplicate label is reported
-    first.  Labels in strictly increasing order, as every generator gives
-    them, are unique by one comparison pass; others, such as the scattered
-    labels of a CSV file, are sorted to find duplicates.  Instances keep
-    16 bytes an element plus the run index, and construction peaks at 17
-    bytes an element above the caller's arrays (``tracemalloc``, two_tier
-    n = 1e6 with scattered labels).  The arrays are read-only; only
+    Labels are unsigned 64-bit integers (:func:`~ess_toolkit.errors.integer`);
+    probabilities of kind bool, complex, string or bytes (``["0.5"]``,
+    ``[True]``) are an ``OutOfRangeError``.  Finite rows whose mass passes
+    the float range (two rows of ``1e308``) are a ``MassNotOneError`` ("sum
+    to inf"); a duplicate label is reported first.  Labels in strictly
+    increasing order, as every generator gives them, are unique by one
+    comparison pass; others, such as the scattered labels of a CSV file,
+    are sorted to find duplicates.  Instances keep 16 bytes an element plus
+    the run index, and construction peaks at 17 bytes an element above the
+    caller's arrays (``tracemalloc``, two_tier n = 1e6 with scattered
+    labels).  The arrays are read-only; only
     :func:`~ess_toolkit.oracle.sampler_table` sets an attribute later, the
     alias table, whose builds are bit-equal: a race between threads wastes
     a build.
@@ -260,7 +255,7 @@ class DiscreteDistribution:
         ``label`` is not in the distribution.
         """
         value = operator.index(label)
-        if 0 <= value <= _UINT64_MAX:
+        if 0 <= value <= UINT64_MAX:
             found = np.flatnonzero(self.labels == np.uint64(value))
             if found.size:
                 return float(self.probs[found[0]])
@@ -283,7 +278,7 @@ class DiscreteDistribution:
 
 
 def _check_eps(eps: float) -> float:
-    eps = float(eps)
+    eps = real("eps", eps)
     if not 0.0 <= eps < MAX_EPS:
         raise OutOfRangeError(f"eps must lie in [0, {MAX_EPS}), got {eps!r}")
     return eps
@@ -487,7 +482,7 @@ def _first_bad_csv_row(path) -> str | None:
                     # label such as -0, which Python's int and float accept
                     if not (label + prob).isascii() or "_" in label + prob:
                         raise ValueError("non-ASCII character or underscore")
-                    if "-" in label or not 0 <= int(label) <= _UINT64_MAX:
+                    if "-" in label or not 0 <= int(label) <= UINT64_MAX:
                         raise ValueError(
                             f"label {label} is not an unsigned 64-bit integer"
                         )

@@ -27,13 +27,13 @@ lookups are restricted to sampled items or not.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptySampleError, OutOfRangeError
+from .distribution import MAX_EPS
+from .errors import EmptySampleError, OutOfRangeError, real
 from .oracle import DualOracle
 
 # The variance analysis behind the guarantees assumes both slack
@@ -58,11 +58,11 @@ class EstimatorParams:
     with slack ``beta_eff/2`` and ``gamma_eff = eps*beta_eff/2``, the
     output is divided by ``1 + gamma_eff`` (``output_divisor``), and the
     band verdict rounds the estimate (``in_band``).  The parameters are
-    stored as floats: a bool or a value that is not a real number (a
-    string, a ``Decimal``) is an ``OutOfRangeError``, and a numpy float or
-    a ``Fraction`` is stored as the Python float it rounds to.  Range
-    checks, the ``SLACK_CAP`` clamp, the degenerate rule, the band levels
-    and the band verdict all live here.
+    real numbers by :func:`~ess_toolkit.errors.real`, stored as plain
+    floats; ``eps`` lies below ``MAX_EPS``, the exact references' bound, so
+    a config fails before its distribution is loaded.  Range checks, the
+    ``SLACK_CAP`` clamp, the degenerate rule, the band levels and the band
+    verdict all live here.
 
     So do the values every trial reads: the capped and stage slacks
     ``beta_eff``, ``stage_beta`` and ``gamma_eff``, ``is_degenerate``,
@@ -79,23 +79,14 @@ class EstimatorParams:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("eps", "beta", "gamma"):
+        for name, high in (("eps", MAX_EPS), ("beta", math.inf), ("gamma", math.inf)):
             value = getattr(self, name)
             if value is None and name == "gamma":
                 continue  # the unicriterion plan
-            # a bool is a number to Python, but not a level or a slack
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise OutOfRangeError(f"{name} must be a real number, got {value!r}")
-            try:
-                object.__setattr__(self, name, float(value))
-            except OverflowError:
-                raise OutOfRangeError(f"{name} does not fit a float, got {value!r}") from None
-        if not 0.0 < self.eps < 1.0:
-            raise OutOfRangeError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if not 0.0 < self.beta < math.inf:
-            raise OutOfRangeError(f"beta must lie in (0, inf), got {self.beta!r}")
-        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
-            raise OutOfRangeError(f"gamma must lie in (0, inf), got {self.gamma!r}")
+            value = real(name, value)
+            if not 0.0 < value < high:
+                raise OutOfRangeError(f"{name} must lie in (0, {high}), got {value!r}")
+            object.__setattr__(self, name, value)
 
     @cached_property
     def beta_eff(self) -> float:
@@ -242,6 +233,7 @@ def empirical_quantile(labels, probs, theta: float) -> tuple[int, float]:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.size == 0:
         raise EmptySampleError("empirical quantile of an empty sample")
+    theta = real("theta", theta)
     if not 0.0 < theta < 1.0:
         raise OutOfRangeError(f"theta must lie in (0, 1), got {theta!r}")
     order = np.lexsort((labels, probs))

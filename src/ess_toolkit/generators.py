@@ -8,13 +8,12 @@ model arbitrarily large universes without changing any exact quantity.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import DiscreteDistribution, exact_sum
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, integer, real
 
 # the spec fields each family requires; a family may give no other field of
 # this table, except ``n``, which point_mass may give as 1
@@ -27,10 +26,10 @@ _REQUIRED = {
 }
 FAMILIES = tuple(_REQUIRED)
 _PARAMETERS = tuple(dict.fromkeys(sum(_REQUIRED.values(), ())))  # in table order
-# the CLI keys of the spec fields; zero_pad applies to every family
-_INT_KEYS = {"n": "n", "h": "h", "pad": "zero_pad"}
-_FLOAT_KEYS = {"s": "s", "rho": "rho", "H": "heavy_mass"}
-_INTEGERS = tuple(_INT_KEYS.values())
+# the spec field of each CLI key; zero_pad applies to every family
+_KEYS = {"n": "n", "h": "h", "pad": "zero_pad", "s": "s", "rho": "rho", "H": "heavy_mass"}
+# the integer fields and the least value of each; the others are real
+_INT_LOWS = {"n": 1, "h": 1, "zero_pad": 0}
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,8 @@ class GeneratorSpec:
     keys ``n`` (element count, required except for point_mass), ``s`` (zipf
     exponent), ``rho`` (geometric ratio), ``h`` and ``H`` (two_tier heavy
     count / heavy mass) and ``pad`` (zero_pad).  An invalid spec raises
-    ``OutOfRangeError`` when it is made.
+    ``OutOfRangeError`` when it is made; ``n``, ``h`` and ``zero_pad`` are
+    checked by :func:`~ess_toolkit.errors.integer`, the others by ``real``.
     """
 
     family: str
@@ -70,20 +70,16 @@ def _check_spec(spec: GeneratorSpec) -> None:
             _require(value is not None, f"{spec.family} requires parameter {name!r}")
         elif name not in ("n", "zero_pad"):
             _require(value is None, f"parameter {name!r} does not apply to {spec.family}")
-        # a bool is an int to Python, but not a count
-        if name in _INTEGERS and value is not None:
-            _require(
-                isinstance(value, numbers.Integral) and not isinstance(value, bool),
-                f"{name} must be an integer, got {value!r}",
-            )
-    _require(spec.n is None or spec.n >= 1, f"n must be >= 1, got {spec.n}")
-    _require(spec.zero_pad >= 0, f"pad must be >= 0, got {spec.zero_pad}")
+        if value is not None or name == "zero_pad":  # zero_pad is never None
+            low = _INT_LOWS.get(name)
+            value = real(name, value) if low is None else integer(name, value, low)
+            object.__setattr__(spec, name, value)
     if spec.family == "zipf":
         _require(spec.s > 0, f"zipf exponent must be positive, got {spec.s}")
     if spec.family == "geometric":
         _require(0.0 < spec.rho < 1.0, f"geometric ratio must lie in (0, 1), got {spec.rho}")
     if spec.family == "two_tier":
-        _require(1 <= spec.h < spec.n, f"two_tier needs 1 <= h < n, got h={spec.h}")
+        _require(spec.h < spec.n, f"two_tier needs 1 <= h < n, got h={spec.h}")
         _require(
             0.0 < spec.heavy_mass < 1.0,
             f"two_tier heavy mass must lie in (0, 1), got {spec.heavy_mass}",
@@ -131,11 +127,11 @@ def parse_spec(text: str) -> GeneratorSpec:
             key = key.strip()
             value = value.strip()
             _require(bool(sep), f"malformed generator parameter {item!r}")
-            name = _INT_KEYS.get(key) or _FLOAT_KEYS.get(key)
+            name = _KEYS.get(key)
             _require(name is not None, f"unknown generator parameter {key!r}")
             _require(name not in kwargs, f"generator parameter {key!r} given twice")
             try:
-                kwargs[name] = int(value, 10) if key in _INT_KEYS else float(value)
+                kwargs[name] = int(value, 10) if name in _INT_LOWS else float(value)
             except ValueError:
                 raise OutOfRangeError(
                     f"bad value {value!r} for generator parameter {key!r}"

@@ -22,7 +22,7 @@ from .distribution import (
     exact_ess,
     read_distribution,
 )
-from .errors import OutOfRangeError
+from .errors import UINT64_MAX, OutOfRangeError, integer
 from .estimator import EstimatorParams, estimate_ess
 from .generators import FAMILIES, make_distribution, parse_spec
 from .oracle import DualOracle, derive_seed, sampler_table, stage_one_draws
@@ -48,12 +48,12 @@ class ExperimentConfig:
     required in bicriteria mode and ignored in unicriterion mode, which
     stores None for it (``null`` in a JSON report).  ``eps``, ``beta`` and
     ``gamma`` are stored as the plan's floats, so ``1`` is written as
-    ``1.0``.  ``trials`` and ``master_seed`` must be integers (a bool is
-    not) and are stored as plain ints.  ``mode`` is read only by the plan
-    builder; the plan is kept as ``params`` (unicriterion ignores
-    ``gamma``), and a non-degenerate plan has its stage sizes read when the
-    config is made, so an impossible plan fails before the distribution is
-    loaded.
+    ``1.0``.  ``trials`` (at least 1) and ``master_seed`` (64 bits) are
+    integers by :func:`~ess_toolkit.errors.integer`, stored as plain ints.
+    ``mode`` is read only by the plan builder; the plan is kept as
+    ``params`` (unicriterion ignores ``gamma``), and a non-degenerate plan
+    has its stage sizes read when the config is made, so an impossible plan
+    fails before the distribution is loaded.
     """
 
     dist_source: str | os.PathLike
@@ -85,18 +85,9 @@ class ExperimentConfig:
             raise OutOfRangeError(
                 f"format must be one of {FORMATS}, got {self.format!r}"
             )
-        for name in ("trials", "master_seed"):
-            value = getattr(self, name)
-            # a bool is an int to Python, but not a count or a seed
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))  # a plain int
-        if self.trials < 1:
-            raise OutOfRangeError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.master_seed < 2**64:
-            raise OutOfRangeError(
-                f"master_seed must lie in [0, 2**64), got {self.master_seed}"
-            )
+        object.__setattr__(self, "trials", integer("trials", self.trials, 1))
+        seed = integer("master_seed", self.master_seed, 0, UINT64_MAX)
+        object.__setattr__(self, "master_seed", seed)
         params = _params(self.eps, self.beta, self.gamma, self.mode)  # mode and ranges
         # keep the plan's floats, the values the trials run with and the
         # report writes (None for the gamma unicriterion ignores)
@@ -199,8 +190,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     ``in_band``.  ``jobs`` must be 1: trials always run serially in this
     process.
     """
-    if jobs != 1:
-        raise OutOfRangeError(f"jobs must be 1, got {jobs}")
+    integer("jobs", jobs, 1, 1)
     if config.out_path is not None:
         # fail before any trial runs; the writer still names the report if
         # the directory goes away during the run

@@ -50,9 +50,8 @@ import operator
 import numpy as np
 
 from .distribution import DiscreteDistribution, canonical_order
-from .errors import OutOfRangeError
+from .errors import UINT64_MAX, integer
 
-_MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -77,14 +76,14 @@ def derive_seed(master_seed: int, index: int) -> int:
     derived values are identical on every platform and independent of the
     order in which streams are created.
     """
-    if operator.index(index) < 0:
-        raise OutOfRangeError("stream index must be nonnegative")
-    z = (operator.index(master_seed) + (index + 1) * _GOLDEN) & _MASK64
+    master_seed = integer("master_seed", master_seed, 0, UINT64_MAX)
+    index = integer("index", index, 0)
+    z = (master_seed + (index + 1) * _GOLDEN) & UINT64_MAX
     for _ in range(2):
         z ^= z >> 30
-        z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+        z = (z * 0xBF58476D1CE4E5B9) & UINT64_MAX
         z ^= z >> 27
-        z = (z * 0x94D049BB133111EB) & _MASK64
+        z = (z * 0x94D049BB133111EB) & UINT64_MAX
         z ^= z >> 31
     return z
 
@@ -227,9 +226,7 @@ class AliasTable:
         """Draw ``count`` canonical positions (of ``alias.dtype``), one
         uniform double each, in chunks of ``_CHUNK`` draws that share one
         set of work arrays."""
-        count = operator.index(count)
-        if count < 0:
-            raise OutOfRangeError("sample count must be nonnegative")
+        count = integer("count", count, 0)
         out = np.empty(count, dtype=self.alias.dtype)
         chunk = min(count, self._CHUNK)
         work = [np.empty(chunk, dtype) for dtype in (float, float, np.intp, bool)]
@@ -282,9 +279,7 @@ class DualOracle:
     def __init__(self, dist: DiscreteDistribution, seed: int) -> None:
         if not isinstance(dist, DiscreteDistribution):
             raise TypeError("DualOracle requires a validated DiscreteDistribution")
-        seed = operator.index(seed)
-        if not 0 <= seed <= _MASK64:
-            raise OutOfRangeError(f"seed must fit in 64 bits, got {seed}")
+        seed = integer("seed", seed, 0, UINT64_MAX)
         self.dist = dist
         self.samp_count = 0
         self.eval_count = 0
@@ -338,10 +333,8 @@ class DualOracle:
         law and draws one variate U ~ Beta(k+1, count-k), which it maps to a
         position through ``run_cumulative``.
         """
-        count = operator.index(count)
-        k = operator.index(k)
-        if not 0 <= k < count:
-            raise OutOfRangeError(f"order statistic {k} of {count} draws")
+        count = integer("count", count, 1)
+        k = integer("k", k, 0, count - 1)
         dist = self.dist
         if stage_one_draws(dist, count):
             positions = sampler_table(dist).draw(self._rng, count)
@@ -382,9 +375,7 @@ class DualOracle:
         (a large table with no ties and a small t) this is more work than
         the draws.
         """
-        count = operator.index(count)
-        if count < 0:
-            raise OutOfRangeError("sample count must be nonnegative")
+        count = integer("count", count, 0)
         dist = self.dist
         bounds = dist.run_bounds
         # zero-probability elements are never drawn, and a pivot past every

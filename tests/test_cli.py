@@ -391,6 +391,16 @@ class TestRun:
         assert main(run_argv(out, **{flag: "inf"})) == 2
         assert not out.exists()
 
+    def test_eps_from_max_eps_exits_2_before_loading(self, tmp_path, capsys):
+        # the plan rejects the level the exact band could not take, so the
+        # missing file is never opened (exit 1)
+        out = tmp_path / "r.json"
+        argv = run_argv(out, dist=str(tmp_path / "missing.csv"), eps="0.9999999995",
+                        beta="0.001", gamma="0.1")
+        assert main(argv) == 2
+        assert "eps must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3", "2"])
     def test_jobs_other_than_one_exits_2(self, tmp_path, capsys, jobs):
         out = tmp_path / "r.json"

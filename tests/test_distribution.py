@@ -102,14 +102,15 @@ class TestValidate:
                 id=f"labels4-probs4-DuplicateLabelError-{DUPLICATE}",
             ),
             pytest.param(
-                [1.5, 2], [math.nan, 0.5], OutOfRangeError, "label 1.5 is not an integer",
-                id="labels5-probs5-OutOfRangeError-label 1.5 is not an integer",
+                [1.5, 2], [math.nan, 0.5], OutOfRangeError,
+                "label must be an integer, got 1.5",
+                id="labels5-probs5-OutOfRangeError-label must be an integer, got 1.5",
             ),
             # a bool is not a label, as a bool array is not
             pytest.param(
                 [True, False], ["0.5", "0.5"], OutOfRangeError,
-                "label True is not an integer",
-                id="labels6-probs6-OutOfRangeError-label True is not an integer",
+                "label must be an integer, got True",
+                id="labels6-probs6-OutOfRangeError-label must be an integer, got True",
             ),
             pytest.param(
                 [0, 1, 2], ["0.5", "0.5"], OutOfRangeError, "probabilities must be numbers",

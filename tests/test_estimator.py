@@ -10,6 +10,7 @@ from ess_toolkit import (
     DiscreteDistribution,
     DualOracle,
     EmptySampleError,
+    MAX_EPS,
     EstimatorParams,
     ExperimentConfig,
     OutOfRangeError,
@@ -60,18 +61,26 @@ class TestParams:
                 EstimatorParams(eps, beta, gamma)
 
     def test_parameters_are_stored_as_floats(self):
-        params = EstimatorParams(np.float32(0.25), Fraction(1, 5), 1)
+        # numpy scalars are in tests/test_inputs.py
+        params = EstimatorParams(0.25, Fraction(1, 5), 1)
         assert (params.eps, params.beta, params.gamma) == (0.25, 0.2, 1.0)
         assert all(type(v) is float for v in (params.eps, params.beta, params.gamma))
         assert type(params.band_levels[0]) is float
-        assert EstimatorParams(0.25, np.int64(1)).gamma is None
+        assert EstimatorParams(0.25, 1).gamma is None
+
+    def test_eps_below_max_eps(self):
+        # the exact references take no level from MAX_EPS on, so neither
+        # does a plan
+        EstimatorParams(np.nextafter(MAX_EPS, 0.0), 0.1, 0.1)
+        for eps in (MAX_EPS, 0.9999999995):
+            with pytest.raises(OutOfRangeError, match="eps must lie in"):
+                EstimatorParams(eps, 0.001, 0.1)
 
     def test_non_real_parameters_rejected(self):
+        # bools and strings are in tests/test_inputs.py
         for eps, beta, gamma in [
             (Decimal("0.25"), 0.1, 0.1),
-            ("0.25", 0.1, 0.1),
-            (0.25, True, 0.1),
-            (0.25, 0.1, False),
+            (None, 0.1, 0.1),
             (0.25, 0.1, 1j),
         ]:
             with pytest.raises(OutOfRangeError, match="must be a real number"):

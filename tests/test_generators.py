@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,10 +73,12 @@ class TestMakeDistribution:
     @pytest.mark.parametrize(
         "spec, name",
         [
-            (dict(family="uniform", n=2.5), "n"),
-            (dict(family="uniform", n=3, zero_pad=1.5), "zero_pad"),
-            (dict(family="two_tier", n=10, h=2.5, heavy_mass=0.5), "h"),
-            (dict(family="point_mass", n=True), "n"),
+            # integral in value but not a numbers.Integral, or None; bools,
+            # strings and floats are in tests/test_inputs.py
+            (dict(family="uniform", n=np.float64(5.0)), "n"),
+            (dict(family="uniform", n=3, zero_pad=None), "zero_pad"),
+            (dict(family="two_tier", n=10, h=Fraction(2), heavy_mass=0.5), "h"),
+            (dict(family="point_mass", n=Decimal(1)), "n"),
         ],
     )
     def test_integer_fields_must_be_integers(self, spec, name):

@@ -351,6 +351,12 @@ class TestDeriveSeed:
         with pytest.raises(OutOfRangeError):
             derive_seed(1, -1)
 
+    @pytest.mark.parametrize("master_seed", [-5, 2**64])
+    def test_master_seed_outside_64_bits_rejected(self, master_seed):
+        # not reduced modulo 2**64, where -5 would alias 2**64 - 5
+        with pytest.raises(OutOfRangeError, match="master_seed must lie in"):
+            derive_seed(master_seed, 0)
+
 
 class TestOrderStatistic:
     def test_counts_both_queries(self):
